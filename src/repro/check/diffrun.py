@@ -1,22 +1,24 @@
-"""Differential execution: one run, four loops, bounded drift.
+"""Differential execution: one run, three loops, bounded drift.
 
-The simulator has four inner loops — the reference oracle (tier 0),
-the flattened v1 loop (tier 1), the vectorized batch kernel (tier 2,
-:mod:`repro.sim.fastpath2`), and the relaxed *metric-equivalent*
+The simulator has three inner loops — the reference oracle (tier 0),
+the exact fast kernel (tier 1), and the relaxed *metric-equivalent*
 kernel (tier 3, :mod:`repro.sim.fastpath3`).  This module replays the
 same trace through any subset of them and reports every observable
 difference:
 
 * ``key_metrics()`` (the determinism-digest payload);
-* the **eviction sequence** (victim pages in eviction order — batching
-  must not reorder evictions, DESIGN.md §9);
-* final structural state: frame map, valid page-table entries, and the
-  exact per-set LRU order of every TLB;
-* optionally the **observation event stream** (observed runs are not
-  batch-eligible, so tier 2 must fall back to the v1 loop and still
-  produce the identical stream).
+* the **eviction sequence** (victim pages in eviction order);
+* every counter the fast kernel folds in from locals: each TLB's
+  :class:`~repro.tlb.tlb.TLBStats` (hits, misses, evictions,
+  shootdowns), the walker's walks/hits/faults, and the full
+  :class:`~repro.uvm.driver.DriverStats`;
+* final structural state: frame map, every page-table entry (valid
+  or tombstone), and the exact per-set LRU order of every TLB;
+* optionally the **observation event stream** (observed runs take the
+  kernel's driver sub-path and must still produce the identical
+  stream).
 
-Tiers 0–2 are compared for **equality** (:func:`compare_levels`).
+Tiers 0 and 1 are compared for **equality** (:func:`compare_levels`).
 Tier 3 is compared under the declared §13 tolerance table instead
 (:func:`compare_relaxed`): a fixed set of identity metrics must stay
 exact, every drifting metric must land inside its
@@ -33,6 +35,7 @@ sweeps can call :func:`compare_levels` directly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -47,7 +50,7 @@ from repro.sim.results import SimulationResult
 class _RecordingChain(OrderedDict):
     """An LRU chain that logs left-end pops (= LRU victim selections).
 
-    The batch kernel inlines the stock LRU policy's victim pop
+    The fast kernels inline the stock LRU policy's victim pop
     (``_chain.popitem(last=False)``) without calling
     ``select_victim``, so recording at the chain level sees every
     eviction on every tier through the same probe.
@@ -87,8 +90,15 @@ class LevelRun:
     metrics: "dict[str, Any]"
     evictions: "list[int]"
     frame_map: "dict[int, int]"
-    page_table: "dict[int, tuple[int, int, int]]"
+    page_table: "dict[int, tuple[int, bool, int, int]]"
     tlb_orders: "list[tuple[int, ...]]"
+    #: ``(name, hits, misses, evictions, shootdowns)`` per TLB, L1s in
+    #: SM order then the L2.
+    tlb_stats: "list[tuple[str, int, int, int, int]]"
+    #: The walker's ``(walks, hits, faults)``.
+    walker_counts: "tuple[int, int, int]"
+    #: Every :class:`~repro.uvm.driver.DriverStats` field.
+    driver_stats: "dict[str, int]"
     events: "Optional[list[tuple[str, tuple]]]" = None
     result: Optional[SimulationResult] = None
 
@@ -125,24 +135,36 @@ class DiffReport:
 
 
 def _structural_state(sim: UVMSimulator) -> tuple:
-    """(frame map, valid PTEs, per-set TLB orders) after a run.
+    """(frame map, page-table entries, per-set TLB orders) after a run.
 
-    Invalid page-table tombstones are excluded: the v2 kernel deletes
-    and reuses them (observably identical — the collector reads
-    counters, never entry identity), so only *valid* translations are
-    part of the equivalence contract.
+    Invalid page-table entries are tombstones of evicted pages; both
+    exact tiers keep them, so they are part of the comparison.
     """
     frame_map = dict(sim.frame_pool._frame_of_page)
     page_table = {
-        page: (entry.frame, entry.faulted_at, entry.walk_hits)
+        page: (entry.frame, entry.valid, entry.faulted_at, entry.walk_hits)
         for page, entry in sim.page_table._entries.items()
-        if entry.valid
     }
     orders: "list[tuple[int, ...]]" = []
     for tlb in [*sim.hierarchy.l1_tlbs, sim.hierarchy.l2_tlb]:
         for entries in tlb._sets:
             orders.append(tuple(entries))
     return frame_map, page_table, orders
+
+
+def _counters(sim: UVMSimulator) -> tuple:
+    """(per-TLB stats, walker counts, driver stats) after a run."""
+    tlb_stats = [
+        (tlb.config.name, tlb.stats.hits, tlb.stats.misses,
+         tlb.stats.evictions, tlb.stats.shootdowns)
+        for tlb in [*sim.hierarchy.l1_tlbs, sim.hierarchy.l2_tlb]
+    ]
+    walker = sim.walker
+    return (
+        tlb_stats,
+        (walker.walks, walker.hits, walker.faults),
+        dataclasses.asdict(sim.driver.stats),
+    )
 
 
 def run_level(
@@ -154,6 +176,7 @@ def run_level(
     seed: int = 7,
     observe: bool = False,
     sanitize: bool = False,
+    prefetch_degree: int = 0,
     workload_name: str = "diff",
 ) -> LevelRun:
     """Replay ``pages`` once at ``level`` and capture every observable."""
@@ -178,10 +201,12 @@ def run_level(
     sink = MemoryEventSink() if observe else None
     observation = Observation(trace=sink) if observe else None  # type: ignore[arg-type]
     simulator = UVMSimulator(policy, capacity, obs=observation,
-                             sanitize=sanitize)
+                             sanitize=sanitize,
+                             prefetch_degree=prefetch_degree)
     result = simulator.run(list(pages), workload_name=workload_name,
                            fast=level)
     frame_map, page_table, orders = _structural_state(simulator)
+    tlb_stats, walker_counts, driver_stats = _counters(simulator)
     return LevelRun(
         level=level,
         metrics=result.key_metrics(),
@@ -189,6 +214,9 @@ def run_level(
         frame_map=frame_map,
         page_table=page_table,
         tlb_orders=orders,
+        tlb_stats=tlb_stats,
+        walker_counts=walker_counts,
+        driver_stats=driver_stats,
         events=sink.events if sink is not None else None,
         result=result,
     )
@@ -199,10 +227,11 @@ def compare_levels(
     policy_name: str,
     capacity: int,
     *,
-    levels: Sequence[int] = (0, 1, 2),
+    levels: Sequence[int] = (0, 1),
     seed: int = 7,
     observe: bool = False,
     sanitize: bool = False,
+    prefetch_degree: int = 0,
     workload_name: str = "diff",
 ) -> DiffReport:
     """Replay at each tier and diff every observable against tier 0."""
@@ -211,6 +240,7 @@ def compare_levels(
         report.runs.append(run_level(
             pages, policy_name, capacity, level,
             seed=seed, observe=observe, sanitize=sanitize,
+            prefetch_degree=prefetch_degree,
             workload_name=workload_name,
         ))
     reference = report.runs[0]
@@ -239,11 +269,29 @@ def compare_levels(
         if run.frame_map != reference.frame_map:
             report.mismatches.append(f"{tag}: final frame maps differ")
         if run.page_table != reference.page_table:
-            report.mismatches.append(f"{tag}: valid page-table entries "
-                                     "differ")
+            report.mismatches.append(f"{tag}: page-table entries differ")
         if run.tlb_orders != reference.tlb_orders:
             report.mismatches.append(f"{tag}: TLB set contents/order "
                                      "differ")
+        for ours, theirs in zip(run.tlb_stats, reference.tlb_stats):
+            if ours != theirs:
+                report.mismatches.append(
+                    f"{tag}: {ours[0]} stats differ "
+                    f"(hits/misses/evictions/shootdowns {ours[1:]} vs "
+                    f"{theirs[1:]})"
+                )
+        if run.walker_counts != reference.walker_counts:
+            report.mismatches.append(
+                f"{tag}: walker walks/hits/faults differ "
+                f"({run.walker_counts} vs {reference.walker_counts})"
+            )
+        if run.driver_stats != reference.driver_stats:
+            diff_keys = sorted(
+                key for key in reference.driver_stats
+                if run.driver_stats.get(key) != reference.driver_stats[key]
+            )
+            report.mismatches.append(f"{tag}: driver stats differ on "
+                                     f"{', '.join(diff_keys)}")
         if run.events != reference.events:
             report.mismatches.append(f"{tag}: observation event streams "
                                      "differ")
@@ -468,7 +516,7 @@ def shrink_failure(
     policy_name: str,
     capacity: int,
     *,
-    levels: Sequence[int] = (0, 1, 2),
+    levels: Sequence[int] = (0, 1),
     seed: int = 7,
     still_fails: "Optional[Callable[[list[int]], bool]]" = None,
 ) -> "list[int]":

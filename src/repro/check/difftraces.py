@@ -1,26 +1,27 @@
 """Seeded synthetic traces for the differential-testing harness.
 
-The ``tests/diff`` harness replays every trace here through the three
-equivalent simulator loops (reference, v1, v2 — see
-:mod:`repro.sim.fastpath2`) and asserts bit-identical results.  Each
-generator stresses a different part of the batch kernel:
+The ``tests/diff`` harness replays every trace here through the two
+exact simulator loops (the reference loop and the fast kernel, tiers 0
+and 1) and asserts bit-identical results; the relaxed tier 3
+(:mod:`repro.sim.fastpath3`) is gated against them under tolerances.
+Each generator stresses a different part of the kernels:
 
 ``phased``
     Long distinct-page phases with periodic revisits — maximal
     segments, long hit runs, and capacity eviction chains.
 ``strided``
     Interleaved strided sweeps (the paper's type II thrashing shape) —
-    TLB-set collisions, pressure-based unflagging, and deferred-fill
-    batches that hit :meth:`repro.tlb.tlb.TLB.apply_batched_misses`'
-    clear path.
+    TLB-set collisions, shootdowns of TLB-resident victims, and
+    tier 3's deferred-fill batches that hit
+    :meth:`repro.tlb.tlb.TLB.apply_batched_misses`' clear path.
 ``pointer_chase``
     A permutation walk over a hot core plus cold excursions —
     irregular residency mixes and mid-segment classification flips.
 ``adversarial``
     Division-heavy worst case: near-period-one repeats, tiny distinct
-    prefixes (defeating segmentation), and same-L2-set bursts — drives
-    the scalar fallbacks, ``MIN_SEGMENT`` chunking, and shootdown
-    degradation paths.
+    prefixes (defeating tier 3's segmentation), and same-L2-set
+    bursts — drives the scalar fallbacks, ``MIN_SEGMENT`` chunking,
+    and shootdown degradation paths.
 
 Everything is a pure function of ``(seed, length)`` over the stdlib
 ``random.Random``, so corpus entries and golden snapshots reproduce on

@@ -117,8 +117,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fastpath", type=int, default=None,
                         choices=(0, 1, 2), metavar="LEVEL",
                         help="simulator inner-loop tier: 0=reference, "
-                             "1=flattened, 2=vectorized batch kernel "
-                             "(same as REPRO_SIM_FASTPATH; default 2). "
+                             "1=exact fast kernel; 2 is an alias of 1 "
+                             "(same as REPRO_SIM_FASTPATH; default 1). "
                              "The relaxed tier 3 is never ambient: request "
                              "it per spec via run_spec/ScenarioSpec or "
                              "'hpe-repro diff --relaxed' (DESIGN §13)")
@@ -699,21 +699,6 @@ def _run_scenarios(args: argparse.Namespace) -> int:
     return 1 if matrix.degraded else 0
 
 
-def _expected_tier(requested: int, policy: str, sanitize: bool) -> int:
-    """The tier a diff cell should actually execute at.
-
-    Mirrors the engine's eligibility fallback chain so ``diff`` can
-    tell a *legitimate* fallback (offline policy, sanitized run) from a
-    silent one (kernel eligibility regressed and the matrix quietly
-    compared a tier against itself).
-    """
-    if requested <= 1:
-        return requested
-    if sanitize or policy == "ideal":
-        return 1  # needs live per-event state / future trace positions
-    return requested
-
-
 def _run_diff(args: argparse.Namespace) -> int:
     """``diff``: the differential matrix over all simulator tiers."""
     from repro.check.diffrun import compare_levels, compare_relaxed
@@ -741,7 +726,7 @@ def _run_diff(args: argparse.Namespace) -> int:
     sanitize = bool(getattr(args, "sanitize", False))
     relaxed = bool(getattr(args, "relaxed", False))
     if relaxed and sanitize:
-        print("diff: --relaxed needs the batch kernels; drop --sanitize",
+        print("diff: --relaxed needs the tier-3 kernel; drop --sanitize",
               file=sys.stderr)
         return 2
     start = time.time()
@@ -772,14 +757,10 @@ def _run_diff(args: argparse.Namespace) -> int:
                         key = f"{run.level}->{executed}"
                         executed_counts[key] = \
                             executed_counts.get(key, 0) + 1
-                        expected = _expected_tier(
-                            run.level, policy, sanitize
-                        )
-                        if executed != expected:
+                        if executed != run.level:
                             fallbacks.append(
                                 f"{cell}: requested tier {run.level} "
-                                f"executed {executed} "
-                                f"(expected {expected})"
+                                f"executed {executed}"
                             )
                     if not report.ok:
                         bad += 1

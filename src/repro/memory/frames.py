@@ -35,10 +35,10 @@ class FramePool:
         self._frame_of_page: dict[int, int] = {}
         self._page_of_frame: dict[int, int] = {}
         #: Flat residency view (one bool per page) kept in lockstep with
-        #: ``_frame_of_page`` — by :meth:`map_page`/:meth:`unmap_page`
-        #: here and by the batch kernels' inlined fault paths.  Vector
-        #: consumers index it directly; the invariant sanitizer asserts
-        #: it always mirrors the dict.
+        #: ``_frame_of_page`` by :meth:`map_page`/:meth:`unmap_page`
+        #: here; kernels that inline faults resynchronize it when their
+        #: replay ends.  Vector consumers index it directly; the
+        #: invariant sanitizer asserts it always mirrors the dict.
         self.residency = Bitmap()
 
     @property

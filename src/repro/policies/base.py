@@ -59,7 +59,8 @@ class EvictionPolicy(abc.ABC):
         """Batched equivalent of :meth:`on_walk_hit` over ``pages``.
 
         Must be observably identical to calling :meth:`on_walk_hit` once
-        per page in order — the batch kernel relies on that equivalence.
+        per page in order — the relaxed kernel (tier 3) relies on that
+        equivalence.
         Subclasses may override to hoist per-call overhead out of the
         loop, never to change semantics.
         """

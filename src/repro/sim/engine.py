@@ -28,9 +28,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import check as check_module
 from repro.check.invariants import InvariantChecker
+from repro.core.soa import Bitmap
 from repro.memory.frames import FramePool
-from repro.memory.page_table import PageTable
+from repro.memory.page_table import PageTable, PageTableEntry
 from repro.policies.base import EvictionPolicy
+from repro.policies.lru import LRUPolicy
 from repro.sim.config import GPUConfig, resolve_fastpath_level
 from repro.sim.results import SimulationResult
 from repro.tlb.hierarchy import TLBHierarchy, TranslationLevel
@@ -125,22 +127,22 @@ class UVMSimulator:
         self,
         trace: Sequence[int],
         workload_name: str = "trace",
-        fast: Optional[bool] = None,
+        fast: Optional[int] = None,
     ) -> SimulationResult:
         """Replay ``trace`` and return the collected metrics.
 
-        Four inner loops exist: the relaxed metric-equivalent kernel
-        (tier 3, explicit opt-in only — DESIGN §13), the vectorized
-        batch kernel (tier 2, the default), the flattened v1 loop
-        (tier 1), and the straightforward reference loop (tier 0).
-        Tiers 0–2 produce bit-identical results — ``tests/diff``
-        cross-checks them — and ``fast=False`` /
-        ``REPRO_SIM_FASTPATH=0`` selects the reference loop for
-        debugging, ``REPRO_SIM_FASTPATH=1`` the v1 loop.  Runs a batch
-        kernel cannot replay (observed, sanitized, offline policies,
-        prefetching) fall back tier 3 → 2 → 1; the tier that actually
-        executed is recorded in ``result.extras["fastpath"]`` so
-        callers (the diff harness, the CLI) can report fallbacks
+        Three inner loops exist: the exact fast kernel (tier 1, the
+        default), the straightforward reference loop (tier 0), and the
+        relaxed metric-equivalent kernel (tier 3, explicit opt-in only
+        — DESIGN §13).  Tiers 0 and 1 produce bit-identical results —
+        ``tests/diff`` cross-checks them.  ``fast`` takes a tier number
+        (``None`` consults ``REPRO_SIM_FASTPATH``; a bool still works:
+        ``False`` is the reference loop, ``True`` the default); a
+        requested 2 is the retired batch kernel's number and runs tier
+        1.  Runs tier 3 cannot replay (observed, sanitized, offline
+        policies, prefetching) fall back to tier 1; the tier that
+        actually executed is recorded in ``result.extras["fastpath"]``
+        so callers (the diff harness, the CLI) can report fallbacks
         instead of silently comparing a tier against itself.
         """
         level = resolve_fastpath_level(fast)
@@ -161,21 +163,10 @@ class UVMSimulator:
         started = time.monotonic()  # noqa: REP012 — extras-only timing
         executed = level
         if level >= 3:
-            from repro.sim import fastpath2, fastpath3
+            from repro.sim import fastpath3
 
             if fastpath3.eligible(self, trace):
                 cycles = fastpath3.replay(self, trace)
-            elif fastpath2.eligible(self):
-                executed = 2
-                cycles = fastpath2.replay(self, trace)
-            else:
-                executed = 1
-                cycles = self._replay_fast(trace)
-        elif level == 2:
-            from repro.sim import fastpath2
-
-            if fastpath2.eligible(self):
-                cycles = fastpath2.replay(self, trace)
             else:
                 executed = 1
                 cycles = self._replay_fast(trace)
@@ -248,7 +239,7 @@ class UVMSimulator:
         return max(max(warp_ready, default=0), max(sm_issue_time, default=0))
 
     def _replay_fast(self, trace: Sequence[int]) -> int:
-        """Flattened event loop: same behaviour, far fewer dispatches.
+        """The exact fast kernel: same behaviour, far fewer dispatches.
 
         Per event the reference loop pays two TLB method calls, a
         :class:`TranslationResult` allocation, an enum comparison and —
@@ -256,8 +247,20 @@ class UVMSimulator:
         probes and the page-table walk are inlined over local bindings of
         the underlying set dictionaries, outcomes stay plain ints, and
         hit/miss/eviction counters are accumulated in locals and folded
-        into the stats objects once at the end.  Fault handling (driver +
-        policy) is left untouched: that *is* the simulated behaviour.
+        into the stats objects once at the end.
+
+        Faults are serviced inline too (DESIGN §9): the frame pool's
+        dicts and free list, the page-table entries, the first-touch
+        set, the victim's shootdown across every TLB, and — for the
+        stock LRU policy only (exact type, so no override can be
+        skipped) — the recency chain's pop and push, each with exactly
+        the :meth:`UVMDriver.service_fault` update rules and in its
+        order; the driver's counters are folded once at the end.  Runs
+        whose faults need the driver's own per-fault work — observed
+        (event emission), sanitized (invariant sweeps) or prefetching
+        (fault-around) — call :meth:`UVMDriver.service_fault` from the
+        same loop instead.  Policy callbacks are the simulated
+        behaviour and are always called.
         """
         config = self.config
         num_sms = config.num_sms
@@ -270,7 +273,30 @@ class UVMSimulator:
         consume_bytes = getattr(policy, "consume_transfer_bytes", None)
         track_position = policy.requires_future
         on_trace_position = policy.on_trace_position
-        service_fault = self.driver.service_fault
+        driver = self.driver
+        service_fault = driver.service_fault
+        inline_faults = (
+            driver.obs is None
+            and driver.checker is None
+            and driver.prefetch_degree == 0
+        )
+        stats = driver.stats
+        ever_touched, page_size = driver.fastpath_state()
+        # A plain-set mirror of the first-touch bitmap: membership is
+        # the per-fault test, and a set answers it without a method call.
+        touched = set(ever_touched)
+        frame_of_page = self.frame_pool._frame_of_page
+        page_of_frame = self.frame_pool._page_of_frame
+        free_frames = self.frame_pool._free
+        select_victim = policy.select_victim
+        on_page_in = policy.on_page_in
+        on_fault_pending = policy.on_fault_pending
+        # The base class's on_fault_pending is a documented no-op.
+        pending_cb = (
+            getattr(on_fault_pending, "__func__", None)
+            is not EvictionPolicy.on_fault_pending
+        )
+        lru_chain = policy._chain if type(policy) is LRUPolicy else None
 
         sm_issue_time = [0] * num_sms
         warp_ready = [0] * total_warps
@@ -290,6 +316,11 @@ class UVMSimulator:
         l1_latency = l1_states[0][3]
         l2_sets, l2_mask, l2_assoc, l2_latency = \
             self.hierarchy.l2_tlb.fastpath_state()
+        # Shootdown probe order: for each L1 set index, that set of
+        # every SM's TLB, in SM order.
+        l1_set_rows = [
+            [sets[index] for sets in l1_sets] for index in range(l1_mask + 1)
+        ]
         miss_latency = l1_latency + l2_latency
         walker = self.walker
         walk_latency = walker.walk_latency_cycles
@@ -304,12 +335,17 @@ class UVMSimulator:
         l1_hits = [0] * num_sms
         l1_misses = [0] * num_sms
         l1_evictions = [0] * num_sms
+        l1_shootdowns = [0] * num_sms
         l2_hits = 0
         l2_misses = 0
         l2_evictions = 0
+        l2_shootdowns = 0
         walks = 0
         walk_hits = 0
         walk_faults = 0
+        fault_number = stats.faults
+        compulsory_faults = 0
+        evictions = 0
 
         index = 0
         warp = total_warps - 1
@@ -374,11 +410,64 @@ class UVMSimulator:
 
             # Page fault: driver services it serially.
             walk_faults += 1
-            frame, _evicted, bytes_transferred = service_fault(page)
-            service = transfer_memo.get(bytes_transferred)
+            if inline_faults:
+                # Inlined UVMDriver.service_fault.
+                fault_number += 1
+                if page not in touched:
+                    touched.add(page)
+                    ever_touched.add(page)
+                    compulsory_faults += 1
+                if pending_cb:
+                    on_fault_pending(page)
+                if free_frames:
+                    frame = free_frames.pop()
+                    moved = page_size
+                else:
+                    if lru_chain:
+                        victim = lru_chain.popitem(last=False)[0]
+                    else:
+                        victim = select_victim()
+                    # page_table.invalidate + frame_pool.unmap_page; the
+                    # freed frame is the one map_page would pop next.
+                    victim_pte = pt_entries.get(victim)
+                    if victim_pte is None or not victim_pte.valid:
+                        raise KeyError(
+                            f"page {victim:#x} has no valid mapping"
+                        )
+                    victim_pte.valid = False
+                    try:
+                        frame = frame_of_page.pop(victim)
+                    except KeyError:
+                        raise KeyError(
+                            f"page {victim:#x} is not resident"
+                        ) from None
+                    del page_of_frame[frame]
+                    # TLBHierarchy.shootdown: every L1, then the L2.
+                    for tlb_index, victim_set in enumerate(
+                        l1_set_rows[victim & l1_mask]
+                    ):
+                        if victim in victim_set:
+                            del victim_set[victim]
+                            l1_shootdowns[tlb_index] += 1
+                    victim_set = l2_sets[victim & l2_mask]
+                    if victim in victim_set:
+                        del victim_set[victim]
+                        l2_shootdowns += 1
+                    evictions += 1
+                    moved = page_size + page_size
+                frame_of_page[page] = frame
+                page_of_frame[frame] = page
+                pt_entries[page] = PageTableEntry(frame, True, fault_number)
+                if lru_chain is not None:
+                    lru_chain[page] = None
+                else:
+                    on_page_in(page, fault_number)
+            else:
+                frame, _evicted, moved = service_fault(page)
+            service = transfer_memo.get(moved)
             if service is None:
-                service = fault_cycles + transfer_cycles(bytes_transferred)
-                transfer_memo[bytes_transferred] = service
+                service = fault_cycles + transfer_cycles(moved)
+                transfer_memo[moved] = service
             # The shootdown of the victim may have shrunk these sets, so
             # re-check occupancy before inserting (inlined hierarchy.fill).
             if len(entries) >= l1_assoc:
@@ -401,10 +490,24 @@ class UVMSimulator:
 
         for sm, tlb in enumerate(self.hierarchy.l1_tlbs):
             tlb.add_batched_stats(l1_hits[sm], l1_misses[sm], l1_evictions[sm])
-        self.hierarchy.l2_tlb.add_batched_stats(l2_hits, l2_misses, l2_evictions)
+            tlb.stats.shootdowns += l1_shootdowns[sm]
+        l2_tlb = self.hierarchy.l2_tlb
+        l2_tlb.add_batched_stats(l2_hits, l2_misses, l2_evictions)
+        l2_tlb.stats.shootdowns += l2_shootdowns
         walker.walks += walks
         walker.hits += walk_hits
         walker.faults += walk_faults
+        if inline_faults:
+            faults = fault_number - stats.faults
+            stats.faults = fault_number
+            stats.compulsory_faults += compulsory_faults
+            stats.capacity_faults += faults - compulsory_faults
+            stats.evictions += evictions
+            stats.bytes_migrated_in += faults * page_size
+            stats.bytes_evicted_out += evictions * page_size
+            # The pool's flat residency view, resynchronized once.
+            self.frame_pool.residency = Bitmap()
+            self.frame_pool.residency.update(list(frame_of_page))
 
         return max(max(warp_ready, default=0), max(sm_issue_time, default=0))
 

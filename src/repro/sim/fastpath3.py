@@ -1,11 +1,12 @@
 """Fastpath v3 — the relaxed, *metric-equivalent* batch kernel.
 
-Tiers 0–2 are bit-identical by construction; this tier is not.  It
-trades a small, tolerance-gated drift in ``key_metrics()`` for batching
-the one path v2 still replays scalar — **eviction chains** — and is
-therefore **opt-in only**: the env var never selects it
+Tiers 0 and 1 are bit-identical by construction; this tier is not.
+It trades a small, tolerance-gated drift in ``key_metrics()`` for
+batching the one path the retired tier-2 batch kernel ("v2") still
+replayed scalar — **eviction chains** — and is therefore **opt-in
+only**: the env var never selects it
 (:func:`repro.sim.config.resolve_fastpath_level` clamps the ambient
-path to tier 2) and the differential harness compares it against the
+path to tier 1) and the differential harness compares it against the
 reference under declared per-metric tolerances plus golden *trend*
 checks rather than equality (DESIGN §13, ``repro.check.diffrun``).
 
@@ -52,7 +53,7 @@ fault sequence, and per-fault PCIe byte accounting.
 
 Fallback: :func:`eligible` mirrors v2's conditions (no obs, no
 sanitizer, no offline policy, no prefetching) plus flat-array bounds;
-ineligible runs drop to tier 2 then tier 1 in
+ineligible runs drop to tier 1 in
 :meth:`repro.sim.engine.UVMSimulator.run`, which records the executed
 tier in ``extras["fastpath"]``.
 """
@@ -134,7 +135,7 @@ def eligible(sim: "UVMSimulator", trace: Optional[Sequence[int]] = None) -> bool
     fault-around prefetching migrates pages the classifier cannot see.
     On top of those, v3 indexes flat arrays by page number, so page
     values must stay under :data:`MAX_PAGE` and the SM count under
-    :data:`MAX_SMS`.  Ineligible runs fall back to tier 2 then tier 1.
+    :data:`MAX_SMS`.  Ineligible runs fall back to tier 1.
     """
     if (
         np is None

@@ -127,10 +127,10 @@ class TLB:
 
         Returns ``(sets, set_mask, associativity, latency_cycles)``.  The
         caller may probe/mutate the set dictionaries directly — with
-        exactly the :meth:`lookup`/:meth:`insert` update rules — provided
-        it reports the hit/miss/eviction counts it accumulated through
-        :meth:`add_batched_stats` afterwards.  Shootdowns must still go
-        through :meth:`invalidate` (they are counted live).
+        exactly the :meth:`lookup`/:meth:`insert`/:meth:`invalidate`
+        update rules — provided it reports the hit/miss/eviction counts
+        it accumulated through :meth:`add_batched_stats` afterwards and
+        adds the shootdowns it performed to ``stats.shootdowns``.
         """
         return (
             self._sets,

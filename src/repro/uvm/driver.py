@@ -109,7 +109,8 @@ class UVMDriver:
         self._ever_touched: Bitmap = Bitmap()
 
     def fastpath_state(self) -> tuple[Bitmap, int]:
-        """Internals for the batch kernels (:mod:`repro.sim.fastpath2`,
+        """Internals for the kernels that inline faults
+        (:meth:`repro.sim.engine.UVMSimulator._replay_fast`,
         :mod:`repro.sim.fastpath3`).
 
         Returns ``(ever_touched, page_size_bytes)``.  The caller may

@@ -76,18 +76,6 @@ def test_inconsistent_v3_speedup_is_rejected() -> None:
     )
 
 
-def test_inconsistent_v2_speedup_is_rejected() -> None:
-    payload = _valid_payload()
-    payload["fastpath"]["v2_seconds"] = (
-        payload["fastpath"]["v1_seconds"] / 10
-    )
-    problems = validate_bench_matrix(payload)
-    assert any(
-        "v2_over_v1_speedup" in problem and "inconsistent" in problem
-        for problem in problems
-    )
-
-
 def test_cli_accepts_the_committed_artifact(capsys) -> None:
     assert main([str(ARTIFACT)]) == 0
     assert "ok" in capsys.readouterr().out

@@ -1,11 +1,11 @@
-"""The differential matrix: three simulator tiers, zero drift.
+"""The differential matrix: two exact simulator tiers, zero drift.
 
 Every synthetic trace generator × every policy × three fixed seeds ×
 two oversubscription rates, replayed through the reference loop
-(tier 0), the flattened v1 loop (tier 1), and the vectorized batch
-kernel (tier 2), asserting bit-identical ``key_metrics()``, eviction
-*sequences*, final structural state, and — for observed runs — the
-event stream.
+(tier 0) and the exact fast kernel (tier 1), asserting bit-identical
+``key_metrics()``, eviction *sequences*, every TLB/walker/driver
+counter, final structural state, and — for observed runs — the event
+stream.
 
 A mismatch does not just fail: it shrinks itself (ddmin-lite) and
 writes a minimal repro into ``tests/diff/corpus/`` so the next run
@@ -64,7 +64,7 @@ def _fail_with_shrunk_repro(trace, policy: str, capacity: int,
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_tiers_bit_identical(kind: str, policy: str) -> None:
-    """reference == v1 == v2 on every observable, all seeds and rates."""
+    """reference == tier 1 on every observable, all seeds and rates."""
     for seed in SEEDS:
         trace = build(kind, seed, MATRIX_LENGTH)
         for rate in RATES:
@@ -78,11 +78,10 @@ def test_tiers_bit_identical(kind: str, policy: str) -> None:
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_observed_runs_stay_identical(policy: str) -> None:
-    """With an event sink attached, all tiers emit the same stream.
+    """With an event sink attached, both tiers emit the same stream.
 
-    Observed runs are not batch-eligible, so this doubles as the
-    regression test that tier 2 *falls back* (rather than drifts) when
-    observability is on.
+    Observed faults take the kernel's driver sub-path, so this doubles
+    as its regression test with observability on.
     """
     trace = build("phased", SEEDS[0], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.75)
@@ -94,7 +93,7 @@ def test_observed_runs_stay_identical(policy: str) -> None:
 
 @pytest.mark.parametrize("policy", ("lru", "hpe", "clock-pro"))
 def test_sanitized_runs_stay_identical(policy: str) -> None:
-    """``--sanitize`` keeps all tiers bit-identical (v2 falls back)."""
+    """``--sanitize`` keeps both tiers bit-identical (driver sub-path)."""
     trace = build("strided", SEEDS[1], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.5)
     report = compare_levels(trace.pages, policy, capacity, sanitize=True,
@@ -102,11 +101,28 @@ def test_sanitized_runs_stay_identical(policy: str) -> None:
     assert report.ok, report.mismatches
 
 
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_prefetching_runs_stay_identical(kind: str) -> None:
+    """Degree-3 fault-around keeps both tiers bit-identical.
+
+    Prefetching faults take the kernel's driver sub-path; every policy
+    must still match tier 0 on every observable and counter.
+    """
+    trace = build(kind, SEEDS[0], MATRIX_LENGTH)
+    capacity = _capacity(trace, 0.5)
+    for policy in POLICY_NAMES:
+        report = compare_levels(trace.pages, policy, capacity,
+                                prefetch_degree=3,
+                                workload_name=trace.name)
+        assert report.ok, (policy, report.mismatches)
+        assert report.runs[0].driver_stats["prefetches"] > 0, policy
+
+
 def test_eviction_sequences_are_captured() -> None:
     """The recorder sees evictions on every tier (not vacuous equality)."""
     trace = build("strided", SEEDS[0], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.5)
-    for level in (0, 1, 2):
+    for level in (0, 1):
         run = run_level(trace.pages, "lru", capacity, level)
         assert len(run.evictions) == run.metrics["driver"]["evictions"]
         assert run.evictions, "expected evictions at 50% oversubscription"

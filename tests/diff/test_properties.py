@@ -23,6 +23,10 @@ from repro.check.difftraces import GENERATORS, build
 from repro.experiments.runner import make_policy
 from repro.sim.engine import UVMSimulator
 
+#: Tier 0 (the reference loop) and tier 1 (the exact kernel).  ``2``
+#: numbered the retired batch kernel; a spec, ``REPRO_SIM_FASTPATH`` or
+#: ``--fastpath`` value of 2 now resolves to tier 1, and its parameter
+#: stays so these properties cover that alias too.
 LEVELS = (0, 1, 2)
 
 #: LCM-friendly offset unit: multiples preserve the L2 TLB set index

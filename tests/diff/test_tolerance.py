@@ -270,7 +270,8 @@ def test_executed_tier_is_reported_per_run() -> None:
     trace = build("adversarial", SEEDS[0], 512)
     capacity = _capacity(trace, 0.75)
     assert run_level(trace.pages, "lru", capacity, 3).executed_tier == 3
-    assert run_level(trace.pages, "lru", capacity, 2).executed_tier == 2
+    # 2 numbered the retired batch kernel: it now executes tier 1
+    assert run_level(trace.pages, "lru", capacity, 2).executed_tier == 1
     assert run_level(trace.pages, "lru", capacity, 1).executed_tier == 1
     # offline policy: tier 3 request legally executes the v1 loop
     assert run_level(trace.pages, "ideal", capacity, 3).executed_tier == 1

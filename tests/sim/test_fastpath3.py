@@ -74,18 +74,20 @@ class TestFallbackRecording:
         assert result.extras["fastpath"] == {"requested": 3, "executed": 3}
 
     def test_env_var_cannot_select_the_relaxed_tier(self, monkeypatch) -> None:
-        """REPRO_SIM_FASTPATH=3 clamps to tier 2: ambient config must
+        """REPRO_SIM_FASTPATH=3 clamps to tier 1: ambient config must
         never silently relax results that identities treat as exact."""
         monkeypatch.setenv("REPRO_SIM_FASTPATH", "3")
-        assert resolve_fastpath_level(None) == 2
+        assert resolve_fastpath_level(None) == 1
         sim = _sim()
         result = sim.run(list(TRACE.pages))
-        assert result.extras["fastpath"]["requested"] == 2
+        assert result.extras["fastpath"] == {"requested": 1, "executed": 1}
 
     def test_explicit_level_clamps_into_range(self) -> None:
         assert resolve_fastpath_level(7) == 3
         assert resolve_fastpath_level(-2) == 0
         assert resolve_fastpath_level(3) == 3
+        # 2 numbered the retired batch kernel: an alias of tier 1.
+        assert resolve_fastpath_level(2) == 1
 
 
 class TestDebugCounters:

@@ -136,6 +136,11 @@ class DynamicAdjustment:
             StrategyKind.LRU: EvictionFIFO(fifo_depth),
             StrategyKind.MRU_C: EvictionFIFO(fifo_depth),
         }
+        #: ``(strategy, FIFO record dict)`` in probe order, for the
+        #: per-fault path (one ``in`` test per FIFO, no method calls).
+        self._fifo_records = tuple(
+            (kind, fifo._pages) for kind, fifo in self._fifos.items()
+        )
         self._wrong = {StrategyKind.LRU: 0, StrategyKind.MRU_C: 0}
         self._intervals_used = {StrategyKind.LRU: 0, StrategyKind.MRU_C: 0}
         #: Intervals survived by each strategy in its latest completed stint.
@@ -161,16 +166,21 @@ class DynamicAdjustment:
         self._fifos[self._strategy].push(page)
 
     def on_fault(self, page: int) -> None:
-        """Check ``page`` against the wrong-eviction FIFOs; maybe adjust."""
+        """Check ``page`` against the wrong-eviction FIFOs; maybe adjust.
+
+        :meth:`EvictionFIFO.take`, inlined (runs once per fault).
+        """
         self._fault_count += 1
-        for kind, fifo in self._fifos.items():
-            if fifo.take(page):
+        for kind, pages in self._fifo_records:
+            if page in pages:
+                del pages[page]
                 self._wrong[kind] += 1
                 self.stats.wrong_evictions_total += 1
                 break
-        if not self.enabled:
-            return
-        if self._wrong[self._strategy] >= self.wrong_eviction_threshold:
+        if (
+            self.enabled
+            and self._wrong[self._strategy] >= self.wrong_eviction_threshold
+        ):
             self._adjust()
 
     def on_interval_end(self) -> None:

@@ -12,7 +12,7 @@ Fig. 5 of the paper: the chain is ordered from head (least recent) to tail
 
 Since PR 9 the chain is realised as a struct-of-arrays index-linked
 list (:class:`repro.core.soa.ArrayChain`): one ``key -> slot`` dict,
-flat ``prev``/``next`` arrays, and an interval stamp per slot from
+flat ``prev``/``next`` lists, and an interval stamp per slot from
 which the partition is *derived*.  Advancing the interval
 (P1 ← P2, P2 ← tail) is an O(1) pointer splice instead of an
 ``OrderedDict`` merge, and a lookup is one dict probe instead of up to
@@ -49,6 +49,15 @@ class PageSetChain:
             )
         self.page_set_size = page_set_size
         self._chain = ArrayChain()
+
+    @property
+    def array(self) -> ArrayChain:
+        """The backing :class:`ArrayChain`, keyed by :data:`SetKey`.
+
+        HPE's per-fault path calls it directly, so each chain operation
+        there is one method call rather than two.
+        """
+        return self._chain
 
     @property
     def intervals(self) -> int:

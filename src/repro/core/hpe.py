@@ -35,13 +35,8 @@ from repro.core.classifier import (
 )
 from repro.core.hir import HIRCache
 from repro.core.history import HistoryBuffer
-from repro.core.pageset import (
-    PageSetEntry,
-    SetPart,
-    primary_key,
-    secondary_key,
-)
-from repro.core.strategies import SearchResult, StrategyKind, select
+from repro.core.pageset import PageSetEntry, SetPart
+from repro.core.strategies import StrategyKind
 from repro.memory.addressing import PageSetGeometry
 from repro.obs import finite_or_none as _finite_or_none
 
@@ -49,6 +44,13 @@ if TYPE_CHECKING:
     from repro.obs import Observation
     from repro.obs.registry import MetricsRegistry
 from repro.policies.base import EvictionPolicy, PolicyError
+
+# Enum members as module constants: an attribute read on an Enum class
+# takes a slow path (its metaclass defines ``__getattr__``), and the
+# fault path would make several per fault.
+_PRIMARY = SetPart.PRIMARY
+_SECONDARY = SetPart.SECONDARY
+_MRU_C = StrategyKind.MRU_C
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,14 @@ class HPEPolicy(EvictionPolicy):
         self._use_hir = config.use_hir
         self._transfer_interval = config.transfer_interval
         self._interval_length = config.interval_length
+        self._page_set_size = config.page_set_size
+        self._division_threshold = config.division_threshold
+        self._forced_strategy = config.forced_strategy
+        self._shift = self.geometry.shift
+        self._offset_mask = self.geometry.offset_mask
+        #: The chain's list-backed store: one method call per chain
+        #: operation on the fault path.
+        self._array = self.chain.array
 
     # ------------------------------------------------------------------
     # Observability
@@ -219,62 +229,34 @@ class HPEPolicy(EvictionPolicy):
     # Routing (Fig. 6 steps 1–4)
     # ------------------------------------------------------------------
 
-    def _route(self, tag: int, offset: int) -> tuple[tuple[int, SetPart], int, bool]:
-        """Return ``(chain key, member mask for creation, divided flag)``.
-
-        Consults the history buffer first (the page set was previously
-        evicted), then any live divided primary, defaulting to the
-        undivided primary.
-        """
-        key, _entry, mask, divided = self._route_entry(tag, offset)
-        return key, mask, divided
-
     def _route_entry(
         self, tag: int, offset: int
     ) -> tuple[tuple[int, SetPart], Optional[PageSetEntry], int, bool]:
-        """:meth:`_route` plus the already-fetched live entry (or ``None``).
+        """Return ``(chain key, live entry or None, member mask, divided)``.
 
-        The routing decision needs the live primary anyway; returning it
-        saves the fault path a second three-partition chain search.
+        Consults the history buffer first (the page set was previously
+        evicted), then any live divided primary, defaulting to the
+        undivided primary.  The member mask and divided flag are what a
+        newly created entry under that key gets.
         """
+        get = self._array.get
         hist = self.history.primary_mask(tag)
         if hist is not None:
             if (hist >> offset) & 1:
-                key = primary_key(tag)
-                return key, self.chain.get(key), hist, True
-            key = secondary_key(tag)
-            return key, self.chain.get(key), self._full_mask & ~hist, True
-        key = primary_key(tag)
-        live = self.chain.get(key)
+                key = (tag, _PRIMARY)
+                return key, get(key), hist, True
+            key = (tag, _SECONDARY)
+            return key, get(key), self._full_mask & ~hist, True
+        key = (tag, _PRIMARY)
+        live = get(key)
         if (
             live is not None
             and live.divided
             and not (live.member_mask >> offset) & 1
         ):
-            key = secondary_key(tag)
-            return (
-                key,
-                self.chain.get(key),
-                self._full_mask & ~live.member_mask,
-                True,
-            )
+            key = (tag, _SECONDARY)
+            return key, get(key), self._full_mask & ~live.member_mask, True
         return key, live, self._full_mask, False
-
-    def _get_or_create(
-        self, key: tuple[int, SetPart], member_mask: int, divided: bool
-    ) -> PageSetEntry:
-        entry = self.chain.get(key)
-        if entry is not None:
-            return entry
-        entry = PageSetEntry(
-            tag=key[0],
-            page_set_size=self.config.page_set_size,
-            part=key[1],
-            member_mask=member_mask,
-            divided=divided and key[1] is SetPart.PRIMARY,
-        )
-        self.chain.insert(entry)
-        return entry
 
     def _maybe_divide(self, entry: PageSetEntry) -> None:
         if not self.config.enable_division:
@@ -299,29 +281,28 @@ class HPEPolicy(EvictionPolicy):
         if self._use_hir:
             self.hir.record_hit(page)
             return
-        tag, offset = self.geometry.split(page)
-        self._apply_hit_touch(tag, offset, 1)
+        self._apply_hit_touch(page >> self._shift, page & self._offset_mask, 1)
 
     def on_walk_hits(self, pages: Sequence[int]) -> None:
         if self._use_hir:
             self.hir.record_hits(list(pages))
             return
-        split = self.geometry.split
+        shift = self._shift
+        offset_mask = self._offset_mask
         apply_touch = self._apply_hit_touch
         for page in pages:
-            tag, offset = split(page)
-            apply_touch(tag, offset, 1)
+            apply_touch(page >> shift, page & offset_mask, 1)
 
     def _apply_hit_touch(self, tag: int, offset: int, count: int) -> None:
-        key, _mask, _divided = self._route(tag, offset)
-        entry = self.chain.get(key)
+        key, entry, _mask, _divided = self._route_entry(tag, offset)
         if entry is None:
             # Stale information: the set was fully evicted between the hit
             # being recorded and the transfer arriving.  Drop it.
             return
         entry.touch(count)
-        self.chain.promote(key)
-        self._maybe_divide(entry)
+        self._array.promote(key)
+        if entry.counter >= self._division_threshold:
+            self._maybe_divide(entry)
 
     def _ingest_hir(self) -> None:
         payload = self.hir.transfer()
@@ -345,29 +326,38 @@ class HPEPolicy(EvictionPolicy):
 
     def on_page_in(self, page: int, fault_number: int) -> None:
         stats = self.stats
-        stats.faults += 1
+        faults = stats.faults + 1
+        stats.faults = faults
         adjustment = self.adjustment
         if adjustment is not None:
             adjustment.on_fault(page)
-        if self._use_hir and stats.faults % self._transfer_interval == 0:
+        if self._use_hir and faults % self._transfer_interval == 0:
             self._ingest_hir()
-        tag, offset = self.geometry.split(page)
-        key, entry, member_mask, divided = self._route_entry(tag, offset)
+        offset = page & self._offset_mask
+        key, entry, member_mask, divided = self._route_entry(
+            page >> self._shift, offset
+        )
+        chain = self._array
         if entry is None:
+            part = key[1]
             entry = PageSetEntry(
-                tag=tag,
-                page_set_size=self.config.page_set_size,
-                part=key[1],
+                tag=key[0],
+                page_set_size=self._page_set_size,
+                part=part,
                 member_mask=member_mask,
-                divided=divided and key[1] is SetPart.PRIMARY,
+                divided=divided and part is _PRIMARY,
             )
-            self.chain.insert(entry)
-        entry.record_fault(offset)
+            chain.insert(key, entry)
+            entry.record_fault(offset)
+            # A fresh entry is already at the MRU end of *new*.
+        else:
+            entry.record_fault(offset)
+            chain.promote(key)
         self._resident_pages += 1
-        self.chain.promote(key)
-        self._maybe_divide(entry)
-        if stats.faults % self._interval_length == 0:
-            self.chain.advance_interval()
+        if entry.counter >= self._division_threshold:
+            self._maybe_divide(entry)
+        if faults % self._interval_length == 0:
+            chain.advance_interval()
             if adjustment is not None:
                 adjustment.on_interval_end()
             obs = self._obs
@@ -427,41 +417,58 @@ class HPEPolicy(EvictionPolicy):
     # Victim selection
     # ------------------------------------------------------------------
 
-    def _current_strategy(self) -> StrategyKind:
-        if self.config.forced_strategy is not None:
-            return self.config.forced_strategy
-        assert self.adjustment is not None
-        return self.adjustment.strategy
+    def _search(self) -> PageSetEntry:
+        """One strategy search: the page-set entry to evict from.
 
-    def select_victim(self) -> int:
+        MRU-C walks the old partition (:meth:`ArrayChain.mru_c_search`);
+        LRU takes the chain's least-recent entry.  Counts the search
+        and its comparisons into :class:`HPEStats` (Fig. 14).
+        """
         if self.classification is None:
             self._classify_now()
-        strategy = self._current_strategy()
-        jump = 0
-        if strategy is StrategyKind.MRU_C and self.adjustment is not None:
-            jump = self.adjustment.jump
-        result: SearchResult = select(
-            strategy, self.chain, self.config.page_set_size, jump
-        )
-        if result.entry is None:
+        adjustment = self.adjustment
+        strategy = self._forced_strategy
+        if strategy is None:
+            assert adjustment is not None
+            strategy = adjustment.strategy
+        if strategy is _MRU_C:
+            entry, comparisons = self._array.mru_c_search(
+                self._page_set_size,
+                adjustment.jump if adjustment is not None else 0,
+            )
+        else:
+            entry = self._array.first_payload()
+            comparisons = 1
+        if entry is None:
             raise PolicyError("HPE chain is empty; nothing to evict")
-        self.stats.searches += 1
-        self.stats.comparisons_total += result.comparisons
-        self.stats.comparisons_max = max(
-            self.stats.comparisons_max, result.comparisons
-        )
-        entry = result.entry
+        stats = self.stats
+        stats.searches += 1
+        stats.comparisons_total += comparisons
+        if comparisons > stats.comparisons_max:
+            stats.comparisons_max = comparisons
+        return entry
+
+    def _evict_page(self, entry: PageSetEntry) -> int:
+        """Evict ``entry``'s lowest resident page (address order).
+
+        A set left with no resident page leaves the chain; a divided
+        primary leaving it records its first division in the history.
+        """
         offset = entry.lowest_resident_offset()
-        page = self.geometry.first_page_of(entry.tag) + offset
+        page = (entry.tag << self._shift) + offset
         entry.mark_evicted(offset)
         self._resident_pages -= 1
-        if entry.resident_count == 0:
-            self.chain.remove(entry.key)
-            if entry.divided and entry.part is SetPart.PRIMARY:
+        if not entry.resident_mask:
+            self._array.remove(entry.key)
+            if entry.divided and entry.part is _PRIMARY:
                 self.history.record(entry.tag, entry.member_mask)
-        if self.adjustment is not None:
-            self.adjustment.on_eviction(page)
+        adjustment = self.adjustment
+        if adjustment is not None:
+            adjustment.on_eviction(page)
         return page
+
+    def select_victim(self) -> int:
+        return self._evict_page(self._search())
 
     def select_victims_batch(self, count: int) -> list[int]:
         """Drain-based batch victim selection (fastpath v3, DESIGN §13).
@@ -476,43 +483,14 @@ class HPEPolicy(EvictionPolicy):
         bookkeeping (mark_evicted, resident count, adjustment, divided
         history) still matches the sequential path page for page.
         """
-        if count <= 0:
-            return []
-        if self.classification is None:
-            self._classify_now()
-        stats = self.stats
-        adjustment = self.adjustment
         victims: list[int] = []
         entry: Optional[PageSetEntry] = None
         while len(victims) < count:
             if entry is None:
-                strategy = self._current_strategy()
-                jump = 0
-                if strategy is StrategyKind.MRU_C and adjustment is not None:
-                    jump = adjustment.jump
-                result: SearchResult = select(
-                    strategy, self.chain, self.config.page_set_size, jump
-                )
-                if result.entry is None:
-                    raise PolicyError("HPE chain is empty; nothing to evict")
-                stats.searches += 1
-                stats.comparisons_total += result.comparisons
-                stats.comparisons_max = max(
-                    stats.comparisons_max, result.comparisons
-                )
-                entry = result.entry
-            offset = entry.lowest_resident_offset()
-            page = self.geometry.first_page_of(entry.tag) + offset
-            entry.mark_evicted(offset)
-            self._resident_pages -= 1
-            if entry.resident_count == 0:
-                self.chain.remove(entry.key)
-                if entry.divided and entry.part is SetPart.PRIMARY:
-                    self.history.record(entry.tag, entry.member_mask)
+                entry = self._search()
+            victims.append(self._evict_page(entry))
+            if not entry.resident_mask:
                 entry = None
-            if adjustment is not None:
-                adjustment.on_eviction(page)
-            victims.append(page)
         return victims
 
     # ------------------------------------------------------------------

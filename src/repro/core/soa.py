@@ -8,11 +8,13 @@ replacements behind the existing interfaces:
 
 :class:`ArrayChain`
     The three-partition recency chain realised as index-linked
-    ``prev``/``next`` arrays plus an interval *stamp* per slot.  The
+    ``prev``/``next`` lists plus an interval *stamp* per slot.  The
     partition of a slot is **derived** (``intervals - stamp``), so
     advancing the interval is an O(1) pointer splice instead of an
     ``OrderedDict.update`` over the whole middle partition, and a
-    lookup is one dict probe instead of up to three.
+    lookup is one dict probe instead of up to three.  It also owns the
+    MRU-C victim walk (:meth:`ArrayChain.mru_c_search`), the one
+    implementation every HPE search path calls.
 
 :class:`Bitmap`
     A set of non-negative ints backed by a flat boolean array (one byte
@@ -22,7 +24,8 @@ replacements behind the existing interfaces:
 Both structures are **bit-identical** in observable behaviour to the
 object implementations they replace; ``tests/core/test_soa.py`` proves
 it with seeded randomized op-sequence (metamorphic) equivalence runs
-against the retained reference implementations.
+against the retained reference implementations (and the MRU-C walk
+against the generator-based search it replaced).
 """
 
 from __future__ import annotations
@@ -44,17 +47,19 @@ DENSE_LIMIT = 1 << 24
 
 
 def numpy_available() -> bool:
-    """``True`` when the array-backed fast representations are usable."""
+    """``True`` when :class:`Bitmap` can use its dense array backing."""
     return np is not None
 
 
 class ArrayChain:
     """Index-linked three-partition recency chain over arbitrary payloads.
 
-    Slots live in flat ``prev``/``next`` integer arrays (numpy when
-    available).  Each of the three partitions (*old*, *middle*, *new*)
-    is a doubly-linked list threaded through those arrays with its own
-    head/tail; a single ``key -> slot`` dict serves every lookup.
+    Slots live in flat ``prev``/``next`` Python lists (a list read is
+    about a tenth of the cost of a numpy scalar read, and the chain is
+    walked element by element).  Each of the three partitions (*old*,
+    *middle*, *new*) is a doubly-linked list threaded through those
+    lists with its own head/tail; a single ``key -> slot`` dict serves
+    every lookup.
 
     The partition holding a slot is not stored — it is derived from the
     slot's interval *stamp*: a slot stamped in the current interval is
@@ -75,14 +80,9 @@ class ArrayChain:
 
     def __init__(self, initial_capacity: int = 16) -> None:
         capacity = max(1, initial_capacity)
-        if np is not None:
-            self._prev = np.full(capacity, -1, dtype=np.int64)
-            self._next = np.full(capacity, -1, dtype=np.int64)
-            self._stamp = np.zeros(capacity, dtype=np.int64)
-        else:  # pragma: no cover - numpy-free fallback, same semantics
-            self._prev = [-1] * capacity
-            self._next = [-1] * capacity
-            self._stamp = [0] * capacity
+        self._prev: List[int] = [-1] * capacity
+        self._next: List[int] = [-1] * capacity
+        self._stamp: List[int] = [0] * capacity
         self._payloads: List[Any] = [None] * capacity
         self._keys: List[Any] = [None] * capacity
         self._slot: Dict[Any, int] = {}
@@ -117,7 +117,7 @@ class ArrayChain:
         return counts[OLD], counts[MIDDLE], counts[NEW]
 
     def _partition_of_slot(self, slot: int) -> int:
-        delta = self.intervals - int(self._stamp[slot])
+        delta = self.intervals - self._stamp[slot]
         if delta <= 0:
             return NEW
         if delta == 1:
@@ -141,16 +141,9 @@ class ArrayChain:
     def _grow(self) -> None:
         old_capacity = len(self._payloads)
         new_capacity = old_capacity * 2
-        if np is not None:
-            for name in ("_prev", "_next", "_stamp"):
-                old_arr = getattr(self, name)
-                arr = np.full(new_capacity, -1, dtype=np.int64)
-                arr[:old_capacity] = old_arr
-                setattr(self, name, arr)
-        else:  # pragma: no cover - numpy-free fallback
-            self._prev.extend([-1] * old_capacity)
-            self._next.extend([-1] * old_capacity)
-            self._stamp.extend([0] * old_capacity)
+        self._prev.extend([-1] * old_capacity)
+        self._next.extend([-1] * old_capacity)
+        self._stamp.extend([0] * old_capacity)
         self._payloads.extend([None] * old_capacity)
         self._keys.extend([None] * old_capacity)
         self._free.extend(range(new_capacity - 1, old_capacity - 1, -1))
@@ -167,8 +160,8 @@ class ArrayChain:
         self._counts[partition] += 1
 
     def _unlink(self, slot: int, partition: int) -> None:
-        prev_slot = int(self._prev[slot])
-        next_slot = int(self._next[slot])
+        prev_slot = self._prev[slot]
+        next_slot = self._next[slot]
         if prev_slot >= 0:
             self._next[prev_slot] = next_slot
         else:
@@ -201,7 +194,7 @@ class ArrayChain:
         slot = self._slot.get(key)
         if slot is None:
             raise KeyError(f"entry {key} is not in the chain")
-        delta = self.intervals - int(self._stamp[slot])
+        delta = self.intervals - self._stamp[slot]
         if delta <= 0:
             return self._payloads[slot]
         self._unlink(slot, MIDDLE if delta == 1 else OLD)
@@ -259,14 +252,14 @@ class ArrayChain:
         nxt = self._next
         while slot >= 0:
             yield slot
-            slot = int(nxt[slot])
+            slot = nxt[slot]
 
     def _iter_list_reversed(self, partition: int) -> Iterator[int]:
         slot = self._tails[partition]
         prev = self._prev
         while slot >= 0:
             yield slot
-            slot = int(prev[slot])
+            slot = prev[slot]
 
     def iter_payloads_lru(self) -> Iterator[Any]:
         """All payloads, least recent first: old, then middle, then new."""
@@ -295,13 +288,62 @@ class ArrayChain:
             yield keys[slot], payloads[slot]
 
     def first_payload(self) -> Optional[Any]:
-        """The least-recent payload (old → middle → new priority)."""
+        """The least-recent payload (old → middle → new priority).
+
+        This is the LRU strategy's pick (one comparison when found).
+        """
         payloads = self._payloads
         for partition in (OLD, MIDDLE, NEW):
             slot = self._heads[partition]
             if slot >= 0:
                 return payloads[slot]
         return None
+
+    # ------------------------------------------------------------------
+    # Victim search
+    # ------------------------------------------------------------------
+
+    def mru_c_search(
+        self, target: int, jump: int = 0
+    ) -> Tuple[Optional[Any], int]:
+        """The MRU-C walk over *old*: ``(payload, comparisons)``.
+
+        Walks the old partition from its MRU end toward the head,
+        skipping the first ``jump`` entries (a jump at or past the end
+        saturates at the LRU end instead of wrapping), and returns the
+        first payload whose ``counter`` equals ``target``, else the
+        first minimum-counter payload met.  ``comparisons`` counts the
+        entries examined after the skip (Fig. 14's search overhead).
+        With *old* empty it falls back to :meth:`first_payload`
+        (middle, then new), counted as one comparison when found.
+        """
+        old_count = self._counts[OLD]
+        if not old_count:
+            payload = self.first_payload()
+            return payload, (0 if payload is None else 1)
+        prev = self._prev
+        payloads = self._payloads
+        slot = self._tails[OLD]
+        if jump > 0:
+            for _ in range(jump if jump < old_count else old_count - 1):
+                slot = prev[slot]
+        best = payloads[slot]
+        best_counter = best.counter
+        if best_counter == target:
+            return best, 1
+        comparisons = 1
+        slot = prev[slot]
+        while slot >= 0:
+            comparisons += 1
+            payload = payloads[slot]
+            counter = payload.counter
+            if counter == target:
+                return payload, comparisons
+            if counter < best_counter:
+                best = payload
+                best_counter = counter
+            slot = prev[slot]
+        return best, comparisons
 
 
 class Bitmap:

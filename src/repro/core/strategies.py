@@ -32,6 +32,11 @@ class StrategyKind(enum.Enum):
     LRU = "lru"
     MRU_C = "mru-c"
 
+    # Dynamic adjustment keys its per-strategy FIFOs and counters by
+    # member on every fault; the C-level identity hash is safe for the
+    # same reason as SetPart's (members are singletons, under pickle too).
+    __hash__ = object.__hash__
+
 
 @dataclass
 class SearchResult:
@@ -58,24 +63,13 @@ def select_mru_c(
     Falls back to the least-recent entry of the middle/new partitions when
     the old partition is empty (the paper: "If the old partition becomes
     empty, LRU is used to select eviction candidates in the middle
-    partition or new partition").
+    partition or new partition").  A jump past the end of the partition
+    saturates at the LRU end rather than wrapping back to the (hot) MRU
+    end.  The walk itself is :meth:`repro.core.soa.ArrayChain.mru_c_search`,
+    the one implementation HPE's victim selection also calls.
     """
-    if chain.old_size == 0:
-        return select_lru(chain)
-    # A jump past the end of the partition saturates at the LRU end
-    # rather than wrapping back to the (hot) MRU end.
-    effective_jump = min(jump, chain.old_size - 1)
-    comparisons = 0
-    best: Optional[PageSetEntry] = None
-    for index, entry in enumerate(chain.iter_old_mru_first()):
-        if index < effective_jump:
-            continue
-        comparisons += 1
-        if entry.counter == page_set_size:
-            return SearchResult(entry=entry, comparisons=comparisons)
-        if best is None or entry.counter < best.counter:
-            best = entry
-    return SearchResult(entry=best, comparisons=comparisons)
+    entry, comparisons = chain.array.mru_c_search(page_set_size, jump)
+    return SearchResult(entry=entry, comparisons=comparisons)
 
 
 def select(

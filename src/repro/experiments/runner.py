@@ -80,13 +80,15 @@ PAPER_RATES = (0.75, 0.50)
 #: :func:`run_matrix` (``0`` means "one worker per CPU").
 ENV_JOBS = "REPRO_JOBS"
 
-#: Environment variable gating the shared-memory trace store used by
-#: parallel matrices (default on; ``0``/``false``/``off`` disable).
+#: Environment variable gating trace sharing in parallel matrices
+#: (default on; ``0``/``false``/``off`` disable): the parent builds each
+#: trace once, forked workers inherit it and workers of other start
+#: methods map it from a shared-memory store.
 ENV_SHARED_TRACES = "REPRO_SHARED_TRACES"
 
 
 def shared_traces_enabled() -> bool:
-    """Should parallel matrices publish traces over shared memory?"""
+    """Should parallel matrices share the parent's traces with workers?"""
     raw = os.environ.get(ENV_SHARED_TRACES, "").strip().lower()
     return raw not in ("0", "false", "off", "no")
 
@@ -773,23 +775,15 @@ def run_scenario(
                 journal_failed=journal_failed,
             )
         else:
-            trace_store = _publish_traces(
-                remaining, seed=spec.seed, scale=spec.scale
+            _run_supervised(
+                matrix, remaining, cell_specs,
+                observing=observing,
+                jobs=jobs, timeout=timeout, retries=retries,
+                backoff=backoff, chaos_spec=chaos_spec,
+                seed=spec.seed, scale=spec.scale,
+                note=note, journal_done=journal_done,
+                journal_failed=journal_failed,
             )
-            try:
-                _run_supervised(
-                    matrix, remaining, cell_specs,
-                    observing=observing,
-                    jobs=jobs, timeout=timeout, retries=retries,
-                    backoff=backoff, chaos_spec=chaos_spec,
-                    trace_store=trace_store,
-                    note=note, journal_done=journal_done,
-                    journal_failed=journal_failed,
-                )
-            finally:
-                if trace_store is not None:
-                    trace_store.close()
-                    trace_store.unlink()
     except (KeyboardInterrupt, SupervisorInterrupted, _MatrixSigTerm) as exc:
         # Clean shutdown: the pool is already terminated (supervisor
         # shuts down in its finally), the journal gets its interruption
@@ -901,23 +895,35 @@ def _run_serial(
             resil_chaos.activate(previous_spec)
 
 
-def _publish_traces(keys: Sequence[RunKey], *, seed: int, scale: float):
-    """Build the distinct traces ``keys`` need and publish them over
-    shared memory; ``None`` when disabled or unavailable.
+def _share_traces(
+    keys: Sequence[RunKey], *, seed: int, scale: float, start_method: str
+):
+    """Build the distinct traces ``keys`` need in the parent and hand
+    them to the workers; ``None`` when disabled or nothing was published.
 
     The parent pays one build (or disk load) per application — which it
-    would pay anyway for any serial cell — and every worker then maps
-    the same read-only buffer instead of regenerating its own copies.
+    would pay anyway for any serial cell.  Workers created by ``fork``
+    inherit the parent's warmed trace cache, so every trace they ask
+    for is an in-memory hit and nothing is published for them: a
+    segment would only start multiprocessing's resource tracker, whose
+    lock deadlocks a worker forked while another thread holds it (two
+    concurrent ``hpe-repro serve`` requests).  Workers of any other
+    start method begin empty, so the traces are published over shared
+    memory and every worker maps the same read-only buffer instead of
+    regenerating its own copies; the caller closes and unlinks the
+    returned store.
     """
     if not shared_traces_enabled():
         return None
-    from repro.workloads.trace_io import TraceStore
-
     traces = {}
     for key in keys:
         cache_key = (key.app, seed, scale)
         if cache_key not in traces:
             traces[cache_key] = _TRACES.get(key.app, seed, scale)
+    if start_method == "fork":
+        return None
+    from repro.workloads.trace_io import TraceStore
+
     return TraceStore.publish(traces)
 
 
@@ -932,7 +938,8 @@ def _run_supervised(
     retries: Optional[int],
     backoff: Optional[float],
     chaos_spec: Optional[ChaosSpec],
-    trace_store=None,
+    seed: int,
+    scale: float,
     note=None,
     journal_done=None,
     journal_failed=None,
@@ -943,10 +950,17 @@ def _run_supervised(
     but folded into the matrix in deterministic key order, keeping the
     parallel path bit-identical to the serial one.
     """
+    supervisor = WorkerSupervisor(
+        _run_job, min(jobs, len(keys)),
+        timeout=timeout, retries=retries, backoff=backoff, chaos=chaos_spec,
+    )
+    trace_store = _share_traces(
+        keys, seed=seed, scale=scale, start_method=supervisor.start_method
+    )
+    trace_handle = trace_store.handle if trace_store is not None else None
     # The observe flag travels in the payload: a spawn-context worker
     # re-imports the world and loses any configure(enabled=True) made by
     # the CLI in this process.
-    trace_handle = trace_store.handle if trace_store is not None else None
     job_keys = {key: f"{key.app}|{key.policy}|{key.rate!r}" for key in keys}
     by_job_key = {job_keys[key]: key for key in keys}
     items = [
@@ -956,10 +970,6 @@ def _run_supervised(
         )
         for key in keys
     ]
-    supervisor = WorkerSupervisor(
-        _run_job, min(jobs, len(keys)),
-        timeout=timeout, retries=retries, backoff=backoff, chaos=chaos_spec,
-    )
 
     def on_outcome(outcome) -> None:
         key = by_job_key[outcome.key]
@@ -969,7 +979,12 @@ def _run_supervised(
         else:
             journal_failed(key, outcome.failure)
 
-    outcomes = supervisor.run(items, on_outcome=on_outcome)
+    try:
+        outcomes = supervisor.run(items, on_outcome=on_outcome)
+    finally:
+        if trace_store is not None:
+            trace_store.close()
+            trace_store.unlink()
     # Gauges only when there is something to report: a clean, unobserved
     # matrix keeps its metrics registry empty (the obs contract).
     stat_gauges = {

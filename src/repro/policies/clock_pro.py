@@ -87,14 +87,18 @@ class ClockProPolicy(EvictionPolicy):
 
     def _unlink(self, node: _Node) -> None:
         """Remove ``node``; advance any hand parked on it first."""
-        if node.next is node:
+        nxt = node.next
+        if nxt is node:
             self._hand_hot = self._hand_cold = self._hand_test = None
             return
-        for attr in ("_hand_hot", "_hand_cold", "_hand_test"):
-            if getattr(self, attr) is node:
-                setattr(self, attr, node.next)
-        node.prev.next = node.next
-        node.next.prev = node.prev
+        if self._hand_hot is node:
+            self._hand_hot = nxt
+        if self._hand_cold is node:
+            self._hand_cold = nxt
+        if self._hand_test is node:
+            self._hand_test = nxt
+        node.prev.next = nxt
+        nxt.prev = node.prev
 
     def _remove(self, node: _Node) -> None:
         self._unlink(node)
@@ -192,20 +196,28 @@ class ClockProPolicy(EvictionPolicy):
             raise PolicyError("CLOCK-Pro has no evictable page")
         node = self._hand_cold
         assert node is not None
+        # Local bindings for the sweep, which steps ~20 nodes per victim
+        # on the paper grid: an attribute read on an Enum class takes a
+        # slow path (its metaclass defines ``__getattr__``).  Nested hand
+        # runs mutate the node map in place, so the bound ``get`` stays
+        # current.
+        node_of = self._nodes.get
+        cold = _Status.COLD
+        hot = _Status.HOT
         # Bounded sweep: each promotion removes a cold page, each pass
         # resets a reference bit, so the loop terminates.
         for _ in range(4 * len(self._nodes) + 4):
             nxt = node.next
-            if self._nodes.get(node.page) is not node:
+            if node_of(node.page) is not node:
                 # Stale node pruned by a nested hand run; keep sweeping.
                 node = nxt
                 continue
-            if node.status is _Status.COLD:
+            if node.status is cold:
                 if node.ref:
                     node.ref = False
                     if node.in_test:
                         # Promote: re-accessed within its test period.
-                        node.status = _Status.HOT
+                        node.status = hot
                         node.in_test = False
                         self.n_cold -= 1
                         self.n_hot += 1

@@ -327,6 +327,12 @@ class WorkerSupervisor:
         self._workers: list[_Worker] = []
         self._spawned = 0
 
+    @property
+    def start_method(self) -> str:
+        """How workers are created (``"fork"``, ``"spawn"``, ...)."""
+        method: str = self._ctx.get_start_method()
+        return method
+
     # -- worker lifecycle ----------------------------------------------
 
     def _stderr_root(self) -> Path:

@@ -9,18 +9,24 @@ in lockstep — no hypothesis dependency, just ``random.Random(seed)`` —
 and assert every observable agrees after every single operation:
 membership, sizes, partition split, full iteration order, and the LRU
 election the HPE strategies depend on.
+
+The MRU-C victim walk (:meth:`ArrayChain.mru_c_search`) replaced a
+generator-based search over ``iter_old_mru_first``; that search is kept
+here as :func:`reference_mru_c`, and the walk is run against it in
+lockstep.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Union
+from typing import Optional, Union
 
 import pytest
 
 from repro.core.chain import PageSetChain, ReferencePageSetChain
 from repro.core.pageset import PageSetEntry, SetPart
 from repro.core.soa import DENSE_LIMIT, Bitmap, numpy_available
+from repro.core.strategies import select_lru, select_mru_c
 
 SEEDS = (1, 7, 42, 1337, 271828)
 OPS_PER_RUN = 3000
@@ -144,6 +150,154 @@ def test_promote_only_moves_once_per_interval() -> None:
         chain.promote((1, SetPart.PRIMARY))  # from middle: to MRU of new
         assert [e.key for e in chain.iter_lru_order()][-1] == \
             (1, SetPart.PRIMARY)
+
+
+# -- The MRU-C walk vs the generator-based search --------------------------
+
+#: Counter the walk looks for (the page-set size in HPE).
+TARGET = 4
+
+
+def reference_mru_c(
+    chain: ChainLike, target: int, jump: int = 0
+) -> tuple[Optional[PageSetEntry], int]:
+    """The generator-based MRU-C search the chain walk replaced."""
+    if chain.old_size == 0:
+        entry = chain.lru_entry()
+        return entry, 1 if entry else 0
+    effective_jump = min(jump, chain.old_size - 1)
+    comparisons = 0
+    best: Optional[PageSetEntry] = None
+    for index, entry in enumerate(chain.iter_old_mru_first()):
+        if index < effective_jump:
+            continue
+        comparisons += 1
+        if entry.counter == target:
+            return entry, comparisons
+        if best is None or entry.counter < best.counter:
+            best = entry
+    return best, comparisons
+
+
+def _picked(result: tuple[Optional[PageSetEntry], int]) -> tuple:
+    entry, comparisons = result
+    return (None if entry is None else entry.key), comparisons
+
+
+def _jumps(rng: random.Random, old_size: int) -> set[int]:
+    """Jumps inside, at, and past the old partition's end."""
+    return {0, 1, rng.randrange(8), max(0, old_size - 1), old_size,
+            old_size + 1, old_size + 5}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mru_c_walk_matches_reference_search(seed: int) -> None:
+    """Walk == generator search (and LRU pick == reference) every op."""
+    rng = random.Random(seed)
+    fast = PageSetChain(page_set_size=TARGET)
+    reference = ReferencePageSetChain(page_set_size=TARGET)
+    seen = {"empty_old": 0, "jump_at_or_past_end": 0, "tie": 0,
+            "advance_then_pick": 0, "target_hit": 0}
+    advanced = False
+    for step in range(OPS_PER_RUN):
+        op = rng.random()
+        key = (rng.randrange(48), SetPart.PRIMARY)
+        if op < 0.35:
+            if key not in reference:
+                # Small counters: ties on the minimum are common, and
+                # about one entry in five carries the target.
+                counter = rng.choice((0, 1, 1, 2, 3, TARGET))
+                for chain in (fast, reference):
+                    entry = PageSetEntry(tag=key[0], page_set_size=TARGET)
+                    entry.touch(counter)
+                    chain.insert(entry)
+        elif op < 0.60:
+            if key in reference:
+                fast.promote(key)
+                reference.promote(key)
+        elif op < 0.75:
+            if key in reference:
+                fast.remove(key)
+                reference.remove(key)
+        elif op < 0.82:
+            entry_fast = fast.get(key)
+            entry_ref = reference.get(key)
+            if entry_fast is not None and entry_ref is not None:
+                entry_fast.touch()
+                entry_ref.touch()
+        else:
+            fast.advance_interval()
+            reference.advance_interval()
+            advanced = True
+            continue
+        old_size = fast.old_size
+        seen["empty_old"] += old_size == 0
+        seen["advance_then_pick"] += advanced
+        advanced = False
+        for jump in _jumps(rng, old_size):
+            want = _picked(reference_mru_c(reference, TARGET, jump))
+            assert _picked(fast.array.mru_c_search(TARGET, jump)) == want, \
+                f"walk diverged at step {step}, jump {jump} (seed {seed})"
+            result = select_mru_c(fast, TARGET, jump)
+            assert _picked((result.entry, result.comparisons)) == want
+            assert _picked(reference_mru_c(fast, TARGET, jump)) == want
+            if old_size and jump >= old_size - 1:
+                seen["jump_at_or_past_end"] += 1
+            entry = result.entry
+            if entry is not None and old_size:
+                if entry.counter == TARGET:
+                    seen["target_hit"] += 1
+                elif sum(e.counter == entry.counter
+                         for e in fast.iter_old_lru_first()) > 1:
+                    seen["tie"] += 1
+        lru = select_lru(fast)
+        want_lru = reference.lru_entry()
+        assert _picked((lru.entry, lru.comparisons)) == (
+            None if want_lru is None else want_lru.key,
+            0 if want_lru is None else 1,
+        )
+        assert fast.array.first_payload() is lru.entry
+    assert all(seen.values()), seen
+
+
+def test_mru_c_walk_edges() -> None:
+    """Hand-built cases: ties, jumps at/past the end, empty partitions."""
+    chain = PageSetChain(page_set_size=TARGET)
+
+    def pick(jump: int) -> tuple[Optional[int], int]:
+        """``(tag, comparisons)`` of the walk's pick."""
+        entry, comparisons = chain.array.mru_c_search(TARGET, jump)
+        return (None if entry is None else entry.tag), comparisons
+
+    assert pick(0) == (None, 0)
+    assert pick(7) == (None, 0)
+    for tag, counter in enumerate((5, 3, 7, 3)):
+        entry = PageSetEntry(tag=tag, page_set_size=TARGET)
+        entry.touch(counter)
+        chain.insert(entry)
+    # Old partition empty: LRU of middle/new, one comparison.
+    assert pick(0) == (0, 1)
+    chain.advance_interval()
+    assert pick(2) == (0, 1)
+    chain.advance_interval()
+    # Tie on the minimum (3): the first met from the MRU end wins.
+    assert pick(0) == (3, 4)
+    assert pick(1) == (1, 3)
+    # A jump at or past the end saturates at the LRU end, never wraps.
+    for jump in (3, 4, 99):
+        assert pick(jump) == (0, 1)
+    # A counter equal to the target stops the walk.
+    chain.get((2, SetPart.PRIMARY)).counter = TARGET
+    assert pick(0) == (2, 2)
+    # An interval advance between picks splices middle onto old's MRU end.
+    fresh = PageSetEntry(tag=9, page_set_size=TARGET)
+    fresh.touch(1)
+    chain.insert(fresh)
+    chain.advance_interval()
+    assert pick(0) == (2, 2)
+    chain.advance_interval()
+    assert pick(0) == (2, 3)
+    assert pick(3) == (1, 2)
 
 
 # -- Bitmap vs plain set --------------------------------------------------

@@ -1,16 +1,22 @@
 """Tests for the experiment runner."""
 
+import multiprocessing
+import os
 import warnings
 
 import pytest
 
 from repro.core.hpe import HPEPolicy
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     ENV_JOBS,
+    ENV_SHARED_TRACES,
     POLICY_NAMES,
     RunKey,
     TraceCache,
+    _share_traces,
     arithmetic_mean,
+    clear_trace_cache,
     geometric_mean,
     make_policy,
     resolve_jobs,
@@ -164,6 +170,85 @@ class TestParallelMatrix:
         policy = result.extras["policy"]
         assert policy.name == "hpe"
         assert result.extras["rate"] == 0.75
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_workers_get_traces_without_shared_memory(
+        self, tmp_path, monkeypatch
+    ):
+        """Forked workers inherit the parent's warmed traces: a jobs=2
+        matrix creates no shared-memory segment, in the parent or in a
+        worker, and matches jobs=1 bit for bit."""
+        from multiprocessing import shared_memory
+
+        log = tmp_path / "segments.log"
+        real = shared_memory.SharedMemory
+
+        class RecordingSharedMemory(real):  # type: ignore[misc, valid-type]
+            def __init__(self, *args, **kwargs):
+                # A file, not a list: forked workers write here too.
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()} {args} {kwargs}\n")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory",
+                            RecordingSharedMemory)
+        monkeypatch.delenv(ENV_SHARED_TRACES, raising=False)
+        policies = ["lru", "hpe", "clock-pro"]
+        sim_cache.configure(enabled=False)
+        try:
+            serial = run_matrix(policies, rates=[0.75], apps=self.APPS,
+                                scale=0.25, jobs=1, seed=5)
+            parallel = run_matrix(policies, rates=[0.75], apps=self.APPS,
+                                  scale=0.25, jobs=2, seed=5)
+        finally:
+            sim_cache.configure(enabled=True)
+        assert not log.exists(), log.read_text(encoding="utf-8")
+        assert set(serial.results) == set(parallel.results)
+        assert len(serial.results) == len(policies) * len(self.APPS)
+        for key, expected in serial.results.items():
+            actual = parallel.results[key]
+            assert actual.key_metrics() == expected.key_metrics(), key
+            assert actual.cycles == expected.cycles, key
+
+
+class TestShareTraces:
+    KEYS = [RunKey("STN", "lru", 0.75), RunKey("HOT", "hpe", 0.75),
+            RunKey("STN", "hpe", 0.5)]
+
+    def test_fork_warms_the_parent_and_publishes_nothing(self, monkeypatch):
+        from repro.workloads.trace_io import TraceStore
+
+        published = []
+        monkeypatch.setattr(TraceStore, "publish",
+                            classmethod(lambda cls, t: published.append(t)))
+        monkeypatch.delenv(ENV_SHARED_TRACES, raising=False)
+        clear_trace_cache()
+        assert _share_traces(self.KEYS, seed=9, scale=0.1,
+                             start_method="fork") is None
+        assert published == []
+        assert len(runner_module._TRACES) == 2
+
+    def test_other_start_methods_publish_each_trace_once(self):
+        store = _share_traces(self.KEYS, seed=9, scale=0.1,
+                              start_method="spawn")
+        if store is None:
+            pytest.skip("shared memory unavailable on this host")
+        try:
+            assert sorted(store.keys()) == [("HOT", 9, 0.1), ("STN", 9, 0.1)]
+        finally:
+            store.close()
+            store.unlink()
+
+    def test_disabled_sharing_neither_warms_nor_publishes(self, monkeypatch):
+        monkeypatch.setenv(ENV_SHARED_TRACES, "0")
+        clear_trace_cache()
+        for method in ("fork", "spawn"):
+            assert _share_traces(self.KEYS, seed=9, scale=0.1,
+                                 start_method=method) is None
+        assert len(runner_module._TRACES) == 0
 
 
 class TestTraceCache:

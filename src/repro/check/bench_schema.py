@@ -5,20 +5,15 @@ validates the artifact with :func:`validate_bench_matrix` so a drive-by
 edit cannot silently drop a metric the dashboards read.  Mirrors
 :mod:`repro.serve.bench_schema` (the ``BENCH_service.json`` checker):
 a small hand-rolled walker over required keys, types, and bounds.
-
-The ``fastpath`` section must carry the v1-vs-v3 row — tier 1 (the
-exact kernel) against tier 3 (the relaxed tier, DESIGN §13) — and the
-``v3_over_v1_speedup`` must be consistent with the recorded seconds,
-so a stale hand-edit of one field is caught.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-#: Required numeric fields of the top-level (cold vs. warm) record and
-#: their inclusive lower bounds.
-_TOP_NUMERIC_FIELDS: dict[str, float] = {
+#: Required numeric fields (the cold vs. warm record) and their
+#: inclusive lower bounds.
+_NUMERIC_FIELDS: dict[str, float] = {
     "scale": 0.01,
     "jobs": 1,
     "cold_seconds": 0,
@@ -26,34 +21,12 @@ _TOP_NUMERIC_FIELDS: dict[str, float] = {
     "warm_speedup": 0,
 }
 
-#: Required numeric fields of the nested ``fastpath`` record.
-_FASTPATH_NUMERIC_FIELDS: dict[str, float] = {
-    "scale": 0.01,
-    "jobs": 1,
-    "v1_serial_seconds": 0,
-    "v3_seconds": 0,
-    "v3_over_v1_speedup": 0,
-}
-
-#: Required non-empty list-of-X fields of both records.
+#: Required non-empty list-of-X fields.
 _LIST_FIELDS: dict[str, type] = {
     "apps": str,
     "policies": str,
     "rates": float,
 }
-
-#: Recorded speedups are rounded to 2 decimals and the seconds to 4, so
-#: a recomputed ratio can differ slightly; anything past this slack is
-#: a hand-edit or a partial re-record.
-_SPEEDUP_SLACK = 0.05
-
-#: (speedup field, numerator field, denominator field) consistency
-#: triples inside the ``fastpath`` record.
-_SPEEDUP_TRIPLES = (
-    # v3 is benched against a serial tier-1 baseline (per-spec loops,
-    # not the matrix engine), recorded as v1_serial_seconds.
-    ("v3_over_v1_speedup", "v1_serial_seconds", "v3_seconds"),
-)
 
 
 def _number(value: object) -> Optional[float]:
@@ -63,28 +36,30 @@ def _number(value: object) -> Optional[float]:
     return float(value)
 
 
-def _check_record(
-    record: Mapping[str, object],
-    numeric_fields: Mapping[str, float],
-    prefix: str,
-) -> list[str]:
-    """Violations of one record's numeric and list field requirements."""
+def validate_bench_matrix(data: object) -> list[str]:
+    """Every schema violation in ``data`` (empty list == valid).
+
+    Expected shape::
+
+        {"apps": [...], "policies": [...], "rates": [...],
+         "scale": x, "jobs": N,
+         "cold_seconds": x, "warm_seconds": x, "warm_speedup": x}
+    """
+    if not isinstance(data, Mapping):
+        return [f"top level must be an object, got {type(data).__name__}"]
     problems: list[str] = []
-    for name, lower in numeric_fields.items():
-        value = _number(record.get(name))
+    for name, lower in _NUMERIC_FIELDS.items():
+        value = _number(data.get(name))
         if value is None:
             problems.append(
-                f"{prefix}{name}: expected a number, got "
-                f"{record.get(name)!r}"
+                f"{name}: expected a number, got {data.get(name)!r}"
             )
         elif value < lower:
-            problems.append(
-                f"{prefix}{name}: {value} below lower bound {lower}"
-            )
+            problems.append(f"{name}: {value} below lower bound {lower}")
     for name, element_type in _LIST_FIELDS.items():
-        value = record.get(name)
+        value = data.get(name)
         if not isinstance(value, list) or not value:
-            problems.append(f"{prefix}{name}: expected a non-empty list")
+            problems.append(f"{name}: expected a non-empty list")
             continue
         for element in value:
             ok = (
@@ -95,54 +70,10 @@ def _check_record(
             )
             if not ok:
                 problems.append(
-                    f"{prefix}{name}: element {element!r} is not "
+                    f"{name}: element {element!r} is not "
                     f"{element_type.__name__}"
                 )
                 break
-    return problems
-
-
-def validate_bench_matrix(data: object) -> list[str]:
-    """Every schema violation in ``data`` (empty list == valid).
-
-    Expected shape::
-
-        {"apps": [...], "policies": [...], "rates": [...],
-         "scale": x, "jobs": N,
-         "cold_seconds": x, "warm_seconds": x, "warm_speedup": x,
-         "fastpath": {
-             "apps": [...], "policies": [...], "rates": [...],
-             "scale": x, "jobs": N,
-             "v1_serial_seconds": x, "v3_seconds": x,
-             "v3_over_v1_speedup": x,
-         }}
-    """
-    if not isinstance(data, Mapping):
-        return [f"top level must be an object, got {type(data).__name__}"]
-    problems = _check_record(data, _TOP_NUMERIC_FIELDS, "")
-    fastpath = data.get("fastpath")
-    if not isinstance(fastpath, Mapping):
-        problems.append("missing or non-object 'fastpath' section")
-        return problems
-    problems.extend(
-        _check_record(fastpath, _FASTPATH_NUMERIC_FIELDS, "fastpath.")
-    )
-    for speedup_field, numerator_field, denominator_field in _SPEEDUP_TRIPLES:
-        speedup = _number(fastpath.get(speedup_field))
-        numerator = _number(fastpath.get(numerator_field))
-        denominator = _number(fastpath.get(denominator_field))
-        if (
-            speedup is None or numerator is None or denominator is None
-            or denominator <= 0
-        ):
-            continue  # the field checks above already reported these
-        if abs(speedup - numerator / denominator) > _SPEEDUP_SLACK:
-            problems.append(
-                f"fastpath.{speedup_field}: {speedup} inconsistent with "
-                f"{numerator_field}/{denominator_field} = "
-                f"{numerator / denominator:.4f} — partial re-record or "
-                f"hand edit"
-            )
     return problems
 
 

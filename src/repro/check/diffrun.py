@@ -1,10 +1,8 @@
-"""Differential execution: one run, three loops, bounded drift.
+"""Differential execution: one trace, both replay loops, every observable.
 
-The simulator has three inner loops — the reference oracle (tier 0),
-the exact fast kernel (tier 1), and the relaxed *metric-equivalent*
-kernel (tier 3, :mod:`repro.sim.fastpath3`).  This module replays the
-same trace through any subset of them and reports every observable
-difference:
+The simulator has two inner loops — the reference oracle (tier 0) and
+the exact fast kernel (tier 1).  This module replays the same trace
+through both and reports every observable difference:
 
 * ``key_metrics()`` (the determinism-digest payload);
 * the **eviction sequence** (victim pages in eviction order);
@@ -18,16 +16,7 @@ difference:
   kernel's driver sub-path and must still produce the identical
   stream).
 
-Tiers 0 and 1 are compared for **equality** (:func:`compare_levels`).
-Tier 3 is compared under the declared §13 tolerance table instead
-(:func:`compare_relaxed`): a fixed set of identity metrics must stay
-exact, every drifting metric must land inside its
-:class:`Tolerance`, and the executed tier is checked so a silent
-fallback can never masquerade as a passing relaxed run.
-:func:`check_trend` adds the golden *trend* gate — a policy ordering
-that is decisive at the reference tier (HPE beats LRU, say) must
-survive the relaxation.
-
+The tiers are compared for **equality** (:func:`compare_levels`).
 ``tests/diff`` drives this against the seeded generators in
 :mod:`repro.check.difftraces`; ``scripts/_diffcheck.py``-style ad-hoc
 sweeps can call :func:`compare_levels` directly.
@@ -101,23 +90,6 @@ class LevelRun:
     driver_stats: "dict[str, int]"
     events: "Optional[list[tuple[str, tuple]]]" = None
     result: Optional[SimulationResult] = None
-
-    @property
-    def executed_tier(self) -> Optional[int]:
-        """The tier that actually replayed the trace, if recorded.
-
-        ``None`` when the engine predates the ``extras["fastpath"]``
-        record (or the result was not captured); otherwise the executed
-        level after any eligibility fallback — compare against
-        :attr:`level` to detect a silent downgrade.
-        """
-        if self.result is None:
-            return None
-        record = self.result.extras.get("fastpath")
-        if not isinstance(record, dict):
-            return None
-        executed = record.get("executed")
-        return int(executed) if executed is not None else None
 
 
 @dataclass
@@ -296,216 +268,6 @@ def compare_levels(
             report.mismatches.append(f"{tag}: observation event streams "
                                      "differ")
     return report
-
-
-# --- tolerance-gated comparison for the relaxed tier ---------------------
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Allowed drift for one metric: relative bound with an absolute floor.
-
-    A drift passes when ``|actual - reference|`` is at most
-    ``max(atol, rtol * |reference|)``.  The absolute floor keeps
-    small-base metrics honest: a walker-hit count of 2 vs 4 is 100%
-    relative drift but is noise, while the same ratio on a count of
-    40 000 is a real divergence the relative bound catches.
-    """
-
-    rtol: float
-    atol: float = 0.0
-
-    def allows(self, actual: float, reference: float) -> bool:
-        return abs(actual - reference) <= max(
-            self.atol, self.rtol * abs(reference)
-        )
-
-
-#: ``key_metrics()`` entries that must stay **exact** at every tier,
-#: including the relaxed one (DESIGN §13): run identity, trace shape,
-#: and the eviction-independent counters.
-EXACT_METRICS: "tuple[str, ...]" = (
-    "policy", "workload", "capacity_pages", "footprint_pages",
-    "trace_length", "instructions",
-)
-
-#: Driver counters that must stay exact (first-touch classification and
-#: prefetch issue do not depend on victim choice).
-EXACT_DRIVER_METRICS: "tuple[str, ...]" = (
-    "compulsory_faults", "prefetches",
-)
-
-#: The §13 tolerance table for tier 3, keyed by flattened metric name
-#: (``driver.*`` for the driver block).  Calibrated against the worst
-#: measured drift over the full generator × policy × seed × rate matrix
-#: (see DESIGN §13.3) with roughly 2× relative headroom; the absolute
-#: floors absorb small-base noise (counts in the tens).
-RELAXED_TOLERANCES: "dict[str, Tolerance]" = {
-    "cycles": Tolerance(rtol=0.06),
-    "l1_tlb_hits": Tolerance(rtol=0.12, atol=64),
-    "l2_tlb_hits": Tolerance(rtol=0.12, atol=64),
-    "walker_hits": Tolerance(rtol=0.10, atol=64),
-    "driver.faults": Tolerance(rtol=0.06, atol=8),
-    # Loosest entry by design: whether a fault is *capacity* depends on
-    # whether the page was ever evicted, so a reordered victim turns a
-    # never-faulting page into a refaulting one — total faults stay
-    # within 6% but their classification moves the most.
-    "driver.capacity_faults": Tolerance(rtol=0.20, atol=48),
-    "driver.evictions": Tolerance(rtol=0.10, atol=16),
-    "driver.bytes_migrated_in": Tolerance(rtol=0.06, atol=65536),
-    "driver.bytes_evicted_out": Tolerance(rtol=0.10, atol=65536),
-}
-
-
-def flatten_metrics(metrics: "dict[str, Any]") -> "dict[str, Any]":
-    """``key_metrics()`` with the ``driver`` block inlined as ``driver.*``."""
-    flat: "dict[str, Any]" = {}
-    for key, value in metrics.items():
-        if key == "driver" and isinstance(value, dict):
-            for sub, subvalue in value.items():
-                flat[f"driver.{sub}"] = subvalue
-        else:
-            flat[key] = value
-    return flat
-
-
-def relaxed_drift(
-    reference: "dict[str, Any]", relaxed: "dict[str, Any]"
-) -> "dict[str, float]":
-    """Per-metric relative drift of ``relaxed`` against ``reference``.
-
-    Both arguments are ``key_metrics()`` dicts; only the metrics in
-    :data:`RELAXED_TOLERANCES` are reported.  The denominator is
-    floored at 1 so zero-reference cells stay finite.
-    """
-    ref_flat = flatten_metrics(reference)
-    rel_flat = flatten_metrics(relaxed)
-    return {
-        key: abs(rel_flat[key] - ref_flat[key]) / max(1.0, abs(ref_flat[key]))
-        for key in RELAXED_TOLERANCES
-    }
-
-
-def compare_relaxed(
-    pages: Sequence[int],
-    policy_name: str,
-    capacity: int,
-    *,
-    reference_level: int = 1,
-    relaxed_level: int = 3,
-    tolerances: "Optional[dict[str, Tolerance]]" = None,
-    expect_executed: Optional[int] = 3,
-    seed: int = 7,
-    workload_name: str = "diff",
-) -> DiffReport:
-    """Gate the relaxed tier against a bit-exact tier under the §13 table.
-
-    Three checks, in order of severity:
-
-    1. every metric in :data:`EXACT_METRICS` / :data:`EXACT_DRIVER_METRICS`
-       must be **equal** — these are exact even under relaxation;
-    2. every metric in the tolerance table must drift within its
-       :class:`Tolerance`;
-    3. when ``expect_executed`` is not ``None``, the relaxed run must
-       report that executed tier in ``extras["fastpath"]`` — a silent
-       eligibility fallback to a bit-exact tier would otherwise pass
-       the drift gate vacuously and hide that nothing was tested.
-
-    Structural state and eviction sequences are deliberately **not**
-    compared: the relaxed kernel's victim batching is allowed to change
-    both (that is the §13 contract), and HPE's batched drain bypasses
-    ``select_victim`` so its eviction log is empty at tier 3.
-    """
-    table = RELAXED_TOLERANCES if tolerances is None else tolerances
-    report = DiffReport(policy=policy_name, capacity=capacity)
-    reference = run_level(pages, policy_name, capacity, reference_level,
-                          seed=seed, workload_name=workload_name)
-    relaxed = run_level(pages, policy_name, capacity, relaxed_level,
-                        seed=seed, workload_name=workload_name)
-    report.runs = [reference, relaxed]
-    tag = f"level {relaxed_level} vs {reference_level} [{policy_name}]"
-    if expect_executed is not None:
-        executed = relaxed.executed_tier
-        if executed != expect_executed:
-            report.mismatches.append(
-                f"{tag}: executed tier {executed} != expected "
-                f"{expect_executed} (silent fallback)"
-            )
-    ref_flat = flatten_metrics(reference.metrics)
-    rel_flat = flatten_metrics(relaxed.metrics)
-    for key in EXACT_METRICS:
-        if ref_flat.get(key) != rel_flat.get(key):
-            report.mismatches.append(
-                f"{tag}: exact metric {key} differs "
-                f"({rel_flat.get(key)!r} != {ref_flat.get(key)!r})"
-            )
-    for sub in EXACT_DRIVER_METRICS:
-        key = f"driver.{sub}"
-        if ref_flat.get(key) != rel_flat.get(key):
-            report.mismatches.append(
-                f"{tag}: exact metric {key} differs "
-                f"({rel_flat.get(key)!r} != {ref_flat.get(key)!r})"
-            )
-    for key, tolerance in sorted(table.items()):
-        ref_value = ref_flat.get(key)
-        rel_value = rel_flat.get(key)
-        if ref_value is None or rel_value is None:
-            report.mismatches.append(f"{tag}: metric {key} missing")
-            continue
-        if not tolerance.allows(rel_value, ref_value):
-            drift = abs(rel_value - ref_value) / max(1.0, abs(ref_value))
-            report.mismatches.append(
-                f"{tag}: {key} drifted {drift:.4f} "
-                f"({rel_value} vs {ref_value}, rtol={tolerance.rtol}, "
-                f"atol={tolerance.atol})"
-            )
-    return report
-
-
-def check_trend(
-    pages: Sequence[int],
-    capacity: int,
-    *,
-    metric: str = "cycles",
-    better: str = "hpe",
-    worse: str = "lru",
-    relaxed_level: int = 3,
-    reference_level: int = 1,
-    seed: int = 7,
-    workload_name: str = "diff",
-) -> Optional[str]:
-    """Does a decisive policy ordering survive the relaxed tier?
-
-    Runs ``better`` and ``worse`` at both tiers and, **iff** the
-    reference-tier ordering is decisive (the gap exceeds the metric's
-    relative tolerance, so tier drift cannot legitimately flip it),
-    requires the relaxed tier to preserve it.  Returns ``None`` when the
-    trend holds or the reference gap is inside the noise band, else a
-    message describing the flip.  This is the qualitative half of the
-    §13 gate: HPE must still beat LRU everywhere it beat it exactly.
-    """
-    tolerance = RELAXED_TOLERANCES.get(metric, Tolerance(rtol=0.05))
-    values: "dict[tuple[str, int], float]" = {}
-    for policy_name in (better, worse):
-        for level in (reference_level, relaxed_level):
-            run = run_level(pages, policy_name, capacity, level,
-                            seed=seed, workload_name=workload_name)
-            values[(policy_name, level)] = flatten_metrics(run.metrics)[metric]
-    ref_better = values[(better, reference_level)]
-    ref_worse = values[(worse, reference_level)]
-    # Decisive = the gap survives worst-case drift on both sides.
-    margin = tolerance.rtol * (abs(ref_better) + abs(ref_worse))
-    if ref_worse - ref_better <= max(margin, 2 * tolerance.atol):
-        return None
-    rel_better = values[(better, relaxed_level)]
-    rel_worse = values[(worse, relaxed_level)]
-    if rel_better < rel_worse:
-        return None
-    return (
-        f"trend flip on {metric}: {better} beat {worse} at tier "
-        f"{reference_level} ({ref_better} < {ref_worse}) but not at tier "
-        f"{relaxed_level} ({rel_better} >= {rel_worse})"
-    )
 
 
 # --- failure shrinking and the regression corpus -------------------------

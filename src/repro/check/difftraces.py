@@ -1,27 +1,23 @@
 """Seeded synthetic traces for the differential-testing harness.
 
 The ``tests/diff`` harness replays every trace here through the two
-exact simulator loops (the reference loop and the fast kernel, tiers 0
-and 1) and asserts bit-identical results; the relaxed tier 3
-(:mod:`repro.sim.fastpath3`) is gated against them under tolerances.
-Each generator stresses a different part of the kernels:
+simulator loops (the reference loop and the fast kernel, tiers 0 and
+1) and asserts bit-identical results.  Each generator stresses a
+different part of the kernels:
 
 ``phased``
-    Long distinct-page phases with periodic revisits — maximal
-    segments, long hit runs, and capacity eviction chains.
+    Long distinct-page phases with periodic revisits — long hit runs
+    and capacity eviction chains.
 ``strided``
     Interleaved strided sweeps (the paper's type II thrashing shape) —
-    TLB-set collisions, shootdowns of TLB-resident victims, and
-    tier 3's deferred-fill batches that hit
-    :meth:`repro.tlb.tlb.TLB.apply_batched_misses`' clear path.
+    TLB-set collisions and shootdowns of TLB-resident victims.
 ``pointer_chase``
     A permutation walk over a hot core plus cold excursions —
-    irregular residency mixes and mid-segment classification flips.
+    irregular residency mixes.
 ``adversarial``
     Division-heavy worst case: near-period-one repeats, tiny distinct
-    prefixes (defeating tier 3's segmentation), and same-L2-set
-    bursts — drives the scalar fallbacks, ``MIN_SEGMENT`` chunking,
-    and shootdown degradation paths.
+    prefixes, and same-L2-set bursts — HPE page-set divisions and
+    repeated shootdowns of one L2 set.
 
 Everything is a pure function of ``(seed, length)`` over the stdlib
 ``random.Random``, so corpus entries and golden snapshots reproduce on
@@ -100,14 +96,14 @@ def pointer_chase(seed: int, length: int = DEFAULT_LENGTH) -> Trace:
 
 
 def adversarial(seed: int, length: int = DEFAULT_LENGTH) -> Trace:
-    """Division-heavy worst case for the segmenting batch kernel."""
+    """Division-heavy worst case: repeats, one-set bursts, tiny runs."""
     rng = random.Random(f"{seed}:adversarial")
     pages: list[int] = []
     l2_sets = 32  # the default L2 TLB geometry (512 entries, 16-way)
     while len(pages) < length:
         shape = rng.random()
         if shape < 0.35:
-            # Near-period-one repeats: segments collapse to duplicates.
+            # Near-period-one repeats of one page.
             page = rng.randrange(0, 2048)
             repeat = rng.randrange(2, 24)
             for _ in range(repeat):
@@ -116,7 +112,7 @@ def adversarial(seed: int, length: int = DEFAULT_LENGTH) -> Trace:
                     pages.append(rng.randrange(0, 2048))
         elif shape < 0.65:
             # Same-L2-set burst: distinct pages all mapping to one set,
-            # forcing the batched-fill clear path and set pressure.
+            # forcing set pressure and repeated shootdowns there.
             target_set = rng.randrange(0, l2_sets)
             burst = rng.randrange(16, 64)
             start = rng.randrange(0, 64)

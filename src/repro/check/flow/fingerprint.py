@@ -7,7 +7,7 @@ machine-checked gate:
 
 1. compute the transitive call-graph closure from the simulation entry
    points (``sim.engine``, ``policies.*``, ``tlb.*``, ``uvm.*``,
-   ``workloads.*``; ``sim.fastpath3`` joins through the engine's call);
+   ``workloads.*``);
 2. hash every closure function's *normalized* AST (docstrings stripped,
    positions ignored — comments and formatting never churn the digest),
    plus per-module ``__constants__`` and per-class ``__classvars__``

@@ -3,8 +3,8 @@
 ``tests/diff/test_golden.py`` freezes the exact ``key_metrics()`` of
 every policy on every :mod:`repro.check.difftraces` generator at 75%
 and 50% memory-to-footprint ratios.  The differential matrix proves the
-three simulator tiers agree *with each other*; the goldens pin what
-they agree *on*, so a change that shifts all tiers in lockstep (a
+two simulator tiers agree *with each other*; the goldens pin what
+they agree *on*, so a change that shifts both tiers in lockstep (a
 semantic regression the differ is blind to) still fails loudly.
 
 Snapshots live in ``tests/diff/golden/<generator>.json``.  After an
@@ -34,38 +34,9 @@ GOLDEN_LENGTH = 2048
 GOLDEN_RATES = (0.75, 0.5)
 
 
-#: Policy orderings the paper's claims rest on, checked as *trends* at
-#: the relaxed tier: ``(better, worse)`` — "better" must stay cheaper.
-GOLDEN_TREND_PAIRS = (("hpe", "lru"), ("hpe", "random"))
-
-#: Paper-suite applications added to the trend matrix.  The synthetic
-#: diff generators exercise the kernels but show no decisive policy
-#: gaps at golden length; the paper traces are where HPE actually beats
-#: LRU, so they carry the non-vacuous half of the trend gate.
-TREND_PAPER_APPS = ("BFS", "STN")
-
-#: Scale factor for paper-suite trend traces (keeps the sweep quick).
-TREND_PAPER_SCALE = 0.5
-
-#: Metrics a golden trend is evaluated on (flattened ``driver.*`` form).
-GOLDEN_TREND_METRICS = ("cycles", "driver.faults")
-
-#: The relaxed tier golden trends gate (DESIGN §13).
-TREND_LEVEL = 3
-
-#: The bit-exact tier trend references are computed at.
-TREND_REFERENCE_LEVEL = 1
-
-
 def default_golden_dir() -> Path:
     """``tests/diff/golden`` for a source checkout of this repo."""
     return Path(__file__).resolve().parents[3] / "tests" / "diff" / "golden"
-
-
-def default_trend_dir() -> Path:
-    """``tests/diff/golden_trends`` for a source checkout of this repo."""
-    return Path(__file__).resolve().parents[3] / "tests" / "diff" \
-        / "golden_trends"
 
 
 def _policies() -> "tuple[str, ...]":
@@ -150,207 +121,6 @@ def write_golden(
         )
         written.append(path)
     return written
-
-
-def golden_trend_spec(kind: str, policy: str, rate: float) -> "Any":
-    """Spec of one relaxed-tier trend cell (``fastpath=3`` in identity).
-
-    Unlike :func:`golden_spec`, the relaxed tier participates in the
-    digest: tier-3 metrics may drift within the §13 tolerances, so a
-    trend snapshot must never share identity with an exact golden.
-    ``kind`` is either a diff-generator name or ``paper-<APP>``.
-    """
-    from repro.scenarios.spec import (
-        GOLDEN_FAMILY, PAPER_FAMILY, ScenarioSpec,
-    )
-
-    if kind.startswith("paper-"):
-        return ScenarioSpec(
-            workload=kind[len("paper-"):],
-            policy=policy,
-            rate=rate,
-            scale=TREND_PAPER_SCALE,
-            family=PAPER_FAMILY,
-            fastpath=TREND_LEVEL,
-        )
-    return ScenarioSpec(
-        workload=kind,
-        policy=policy,
-        rate=rate,
-        seed=GOLDEN_SEED,
-        family=GOLDEN_FAMILY,
-        fastpath=TREND_LEVEL,
-        params=(("length", GOLDEN_LENGTH),),
-    )
-
-
-def trend_kinds() -> "list[str]":
-    """Every trend-snapshot kind: diff generators + ``paper-<APP>``."""
-    from repro.check.difftraces import GENERATORS
-
-    return list(GENERATORS) + [f"paper-{app}" for app in TREND_PAPER_APPS]
-
-
-def _trend_trace(kind: str) -> "Any":
-    """Build the trace behind one trend kind (generator or paper app)."""
-    from repro.check.difftraces import build
-
-    if kind.startswith("paper-"):
-        from repro.workloads.suite import get_application
-
-        return get_application(kind[len("paper-"):]).build(
-            scale=TREND_PAPER_SCALE
-        )
-    return build(kind, GOLDEN_SEED, GOLDEN_LENGTH)
-
-
-def compute_golden_trends(
-    kinds: "Optional[Sequence[str]]" = None,
-) -> "dict[str, dict[str, Any]]":
-    """Evaluate the trend matrix and return ``{kind: snapshot}``.
-
-    For every kind × rate × ``(better, worse)`` pair × metric the
-    snapshot records the **bit-exact reference values** (tier 1), whether
-    the ordering is *decisive* there (the gap exceeds what the §13
-    tolerances could legitimately move), and whether the relaxed tier
-    preserves it.  The exact reference values make staleness loud: a
-    semantic change shifts them and the snapshot mismatches before any
-    trend comparison happens.
-    """
-    from repro.check.diffrun import (
-        RELAXED_TOLERANCES, Tolerance, flatten_metrics, run_level,
-    )
-
-    snapshots: "dict[str, dict[str, Any]]" = {}
-    for kind in kinds if kinds is not None else trend_kinds():
-        trace = _trend_trace(kind)
-        cells: "dict[str, Any]" = {}
-        spec_digests: "dict[str, str]" = {}
-        for rate in GOLDEN_RATES:
-            capacity = max(8, int(trace.footprint_pages * rate))
-            policies = sorted({p for pair in GOLDEN_TREND_PAIRS
-                               for p in pair})
-            flat: "dict[tuple[str, int], dict[str, Any]]" = {}
-            for policy in policies:
-                spec_digests[f"{policy}@{rate}"] = \
-                    golden_trend_spec(kind, policy, rate).digest()
-                for level in (TREND_REFERENCE_LEVEL, TREND_LEVEL):
-                    run = run_level(trace.pages, policy, capacity, level,
-                                    workload_name=trace.name)
-                    flat[(policy, level)] = flatten_metrics(run.metrics)
-            for better, worse in GOLDEN_TREND_PAIRS:
-                for metric in GOLDEN_TREND_METRICS:
-                    tolerance = RELAXED_TOLERANCES.get(
-                        metric, Tolerance(rtol=0.05)
-                    )
-                    ref_b = flat[(better, TREND_REFERENCE_LEVEL)][metric]
-                    ref_w = flat[(worse, TREND_REFERENCE_LEVEL)][metric]
-                    rel_b = flat[(better, TREND_LEVEL)][metric]
-                    rel_w = flat[(worse, TREND_LEVEL)][metric]
-                    margin = max(
-                        tolerance.rtol * (abs(ref_b) + abs(ref_w)),
-                        2 * tolerance.atol,
-                    )
-                    decisive = ref_w - ref_b > margin
-                    key = f"{better}<{worse}:{metric}@{rate}"
-                    cells[key] = {
-                        "reference": {better: ref_b, worse: ref_w},
-                        "relaxed": {better: rel_b, worse: rel_w},
-                        "decisive": decisive,
-                        "holds": (not decisive) or rel_b < rel_w,
-                    }
-        snapshots[kind] = {
-            "seed": GOLDEN_SEED,
-            "length": len(trace.pages),
-            "footprint_pages": trace.footprint_pages,
-            "reference_level": TREND_REFERENCE_LEVEL,
-            "relaxed_level": TREND_LEVEL,
-            "spec_digests": spec_digests,
-            "trends": cells,
-        }
-    return snapshots
-
-
-def write_golden_trends(
-    directory: "Optional[Union[str, Path]]" = None,
-    kinds: "Optional[Sequence[str]]" = None,
-) -> "list[Path]":
-    """Regenerate trend snapshots (``hpe-repro golden --update``)."""
-    directory = Path(directory) if directory is not None \
-        else default_trend_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for kind, snapshot in compute_golden_trends(kinds).items():
-        path = directory / f"{kind}.json"
-        path.write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-            encoding="ascii",
-        )
-        written.append(path)
-    return written
-
-
-def check_golden_trends(
-    directory: "Optional[Union[str, Path]]" = None,
-    kinds: "Optional[Sequence[str]]" = None,
-) -> "list[str]":
-    """Re-run the trend matrix against the snapshots; return problems.
-
-    Three failure classes, from stalest to most serious:
-
-    * snapshot metadata or *bit-exact reference values* moved — the
-      harness changed; regenerate and review;
-    * a recorded ``decisive`` ordering no longer **holds** at the
-      relaxed tier — the v3 kernel broke a paper-level claim;
-    * the snapshot itself records ``holds: false`` — it should never
-      have been committed.
-    """
-    directory = Path(directory) if directory is not None \
-        else default_trend_dir()
-    problems: "list[str]" = []
-    fresh = compute_golden_trends(kinds)
-    for kind, snapshot in fresh.items():
-        path = directory / f"{kind}.json"
-        if not path.is_file():
-            problems.append(f"{kind}: missing trend snapshot {path}")
-            continue
-        with open(path, encoding="ascii") as stream:
-            expected = json.load(stream)
-        for meta in ("seed", "length", "footprint_pages",
-                     "reference_level", "relaxed_level", "spec_digests"):
-            if expected.get(meta) != snapshot[meta]:
-                problems.append(
-                    f"{kind}: trend snapshot {meta}={expected.get(meta)!r} "
-                    f"but current harness produces {snapshot[meta]!r} "
-                    "(regenerate with: hpe-repro golden --update)"
-                )
-        want = expected.get("trends", {})
-        have = snapshot["trends"]
-        for key in sorted(set(want) | set(have)):
-            if key not in want:
-                problems.append(f"{kind}/{key}: not in trend snapshot")
-                continue
-            if key not in have:
-                problems.append(f"{kind}/{key}: snapshot-only trend")
-                continue
-            if want[key].get("reference") != have[key]["reference"]:
-                problems.append(
-                    f"{kind}/{key}: bit-exact reference values moved "
-                    f"({have[key]['reference']!r} vs snapshot "
-                    f"{want[key].get('reference')!r})"
-                )
-            if not want[key].get("holds", True):
-                problems.append(
-                    f"{kind}/{key}: snapshot records a broken trend "
-                    "(holds=false must never be committed)"
-                )
-            if want[key].get("decisive") and not have[key]["holds"]:
-                relaxed = have[key]["relaxed"]
-                problems.append(
-                    f"{kind}/{key}: decisive ordering flipped at the "
-                    f"relaxed tier ({relaxed!r})"
-                )
-    return problems
 
 
 def check_golden(

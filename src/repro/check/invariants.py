@@ -181,7 +181,6 @@ class InvariantChecker:
         self.stats.sweeps += 1
         self._check_frame_bijection()
         self._check_page_table_residency()
-        self._check_residency_bitmap()
         self._check_capacity()
         self._check_tlb_subset()
         self._check_policy_residency()
@@ -253,20 +252,6 @@ class InvariantChecker:
                 "free + occupied frames do not cover capacity",
                 free=len(free), used=len(page_of_frame),
                 capacity=pool.capacity,
-            )
-
-    def _check_residency_bitmap(self) -> None:
-        """The pool's flat SoA residency view mirrors the frame map."""
-        self._tick()
-        pool = self.simulator.frame_pool
-        bitmap_pages = set(pool.residency)
-        map_pages = set(pool._frame_of_page)
-        if bitmap_pages != map_pages:
-            self._fail(
-                "residency-bitmap",
-                "flat residency bitmap disagrees with the frame map",
-                only_in_bitmap=sorted(bitmap_pages - map_pages)[:8],
-                only_in_map=sorted(map_pages - bitmap_pages)[:8],
             )
 
     def _check_page_table_residency(self) -> None:

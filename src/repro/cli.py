@@ -118,10 +118,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=(0, 1, 2), metavar="LEVEL",
                         help="simulator inner-loop tier: 0=reference, "
                              "1=exact fast kernel; 2 is an alias of 1 "
-                             "(same as REPRO_SIM_FASTPATH; default 1). "
-                             "The relaxed tier 3 is never ambient: request "
-                             "it per spec via run_spec/ScenarioSpec or "
-                             "'hpe-repro diff --relaxed' (DESIGN §13)")
+                             "(same as REPRO_SIM_FASTPATH; default 1)")
 
 
 def _apps_arg(value: Optional[str]) -> Optional[list[str]]:
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff_p = sub.add_parser(
         "diff",
-        help="differential check: replay synthetic traces through all "
+        help="differential check: replay synthetic traces through both "
              "simulator tiers and diff every observable",
     )
     diff_p.add_argument("--seeds", type=str, default="11,23,47",
@@ -258,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.add_argument("--generators", type=str, default=None,
                         help="comma-separated subset of trace generators "
                              "(default: all)")
-    diff_p.add_argument("--relaxed", action="store_true",
-                        help="also gate the relaxed tier 3 kernel against "
-                             "tier 1 under the DESIGN §13 tolerance table")
     _add_common(diff_p)
 
     gold_p = sub.add_parser(
@@ -274,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     gold_p.add_argument("--dir", type=str, default=None, metavar="DIR",
                         help="snapshot directory (default: "
                              "tests/diff/golden in the source checkout)")
-    gold_p.add_argument("--trend-dir", type=str, default=None, metavar="DIR",
-                        help="relaxed-tier trend snapshot directory "
-                             "(default: tests/diff/golden_trends)")
-    gold_p.add_argument("--skip-trends", action="store_true",
-                        help="exact snapshots only; skip the relaxed-tier "
-                             "trend matrix")
 
     scen_p = sub.add_parser(
         "scenarios",
@@ -700,20 +688,32 @@ def _run_scenarios(args: argparse.Namespace) -> int:
 
 
 def _run_diff(args: argparse.Namespace) -> int:
-    """``diff``: the differential matrix over all simulator tiers."""
-    from repro.check.diffrun import compare_levels, compare_relaxed
+    """``diff``: the differential matrix over both simulator tiers."""
+    from repro.check.diffrun import compare_levels
     from repro.check.difftraces import GENERATORS, build
     from repro.experiments.runner import POLICY_NAMES
 
-    seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-    if not seeds:
+    seed_parts = [part.strip() for part in args.seeds.split(",")
+                  if part.strip()]
+    if not seed_parts:
         print("diff: --seeds is empty", file=sys.stderr)
+        return 2
+    try:
+        seeds = [int(part) for part in seed_parts]
+    except ValueError:
+        print(f"diff: --seeds takes comma-separated integers, got "
+              f"{args.seeds!r}", file=sys.stderr)
         return 2
     policies = (
         [part.strip().lower() for part in args.policies.split(",")
          if part.strip()]
         if args.policies else list(POLICY_NAMES)
     )
+    for policy in policies:
+        if policy not in POLICY_NAMES:
+            print(f"diff: unknown policy {policy!r} "
+                  f"(known: {', '.join(POLICY_NAMES)})", file=sys.stderr)
+            return 2
     kinds = (
         [part.strip() for part in args.generators.split(",") if part.strip()]
         if args.generators else list(GENERATORS)
@@ -724,80 +724,38 @@ def _run_diff(args: argparse.Namespace) -> int:
                   f"(known: {', '.join(GENERATORS)})", file=sys.stderr)
             return 2
     sanitize = bool(getattr(args, "sanitize", False))
-    relaxed = bool(getattr(args, "relaxed", False))
-    if relaxed and sanitize:
-        print("diff: --relaxed needs the tier-3 kernel; drop --sanitize",
-              file=sys.stderr)
-        return 2
     start = time.time()
     cells = 0
     failures: list[str] = []
-    fallbacks: list[str] = []
     for seed in seeds:
         for kind in kinds:
             trace = build(kind, seed, args.length)
             bad = 0
-            executed_counts: dict[str, int] = {}
             for policy in policies:
                 for rate in (0.75, 0.5):
                     capacity = max(8, int(trace.footprint_pages * rate))
-                    cell = f"seed {seed} {kind} {policy} @ {rate:.0%}"
                     report = compare_levels(
                         trace.pages, policy, capacity,
                         sanitize=sanitize, workload_name=trace.name,
                     )
                     cells += 1
-                    # Per-cell executed-tier audit: a run that silently
-                    # fell back compares a tier against itself and
-                    # proves nothing — that must be loud, not exit 0.
-                    for run in report.runs:
-                        executed = run.executed_tier
-                        if executed is None:
-                            continue
-                        key = f"{run.level}->{executed}"
-                        executed_counts[key] = \
-                            executed_counts.get(key, 0) + 1
-                        if executed != run.level:
-                            fallbacks.append(
-                                f"{cell}: requested tier {run.level} "
-                                f"executed {executed}"
-                            )
                     if not report.ok:
                         bad += 1
+                        cell = f"seed {seed} {kind} {policy} @ {rate:.0%}"
                         failures.extend(
                             f"{cell}: {line}"
                             for line in report.mismatches
                         )
-                    if relaxed and policy != "ideal":
-                        relaxed_report = compare_relaxed(
-                            trace.pages, policy, capacity,
-                            workload_name=trace.name,
-                        )
-                        cells += 1
-                        if not relaxed_report.ok:
-                            bad += 1
-                            failures.extend(
-                                f"{cell}: {line}"
-                                for line in relaxed_report.mismatches
-                            )
-            tiers = ", ".join(
-                f"{key}x{count}"
-                for key, count in sorted(executed_counts.items())
-            )
             status = "ok" if not bad else f"{bad} MISMATCHED cell(s)"
             print(f"seed {seed:>6d} {kind:<14s} "
-                  f"{len(policies) * 2:>3d} cells: {status} "
-                  f"[tiers {tiers}]")
+                  f"{len(policies) * 2:>3d} cells: {status}")
     elapsed = time.time() - start
-    for line in fallbacks:
-        print(f"  FALLBACK {line}")
     for line in failures:
         print(f"  MISMATCH {line}")
-    mode = "tolerance-gated + bit-identical" if relaxed else "bit-identical"
-    verdict = mode if not (failures or fallbacks) else \
-        f"{len(failures)} mismatch(es), {len(fallbacks)} silent fallback(s)"
+    verdict = f"{len(failures)} mismatch(es)" if failures else \
+        "bit-identical"
     print(f"diff: {cells} cells in {elapsed:.1f}s: {verdict}")
-    return 1 if failures or fallbacks else 0
+    return 1 if failures else 0
 
 
 def _run_golden(args: argparse.Namespace) -> int:
@@ -807,18 +765,11 @@ def _run_golden(args: argparse.Namespace) -> int:
     from repro.check import golden
 
     directory = Path(args.dir) if args.dir else None
-    trend_dir = Path(args.trend_dir) if args.trend_dir else None
-    trends = not args.skip_trends
     if args.update:
         for path in golden.write_golden(directory):
             print(f"wrote {path}")
-        if trends:
-            for path in golden.write_golden_trends(trend_dir):
-                print(f"wrote {path}")
         return 0
     problems = golden.check_golden(directory)
-    if trends:
-        problems += golden.check_golden_trends(trend_dir)
     if problems:
         for problem in problems:
             print(f"  GOLDEN {problem}")
@@ -826,8 +777,7 @@ def _run_golden(args: argparse.Namespace) -> int:
               "(intentional change? regenerate with: "
               "hpe-repro golden --update)")
         return 1
-    print("golden: all snapshots match"
-          + (" (exact + relaxed trends)" if trends else ""))
+    print("golden: all snapshots match")
     return 0
 
 

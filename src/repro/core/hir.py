@@ -145,47 +145,6 @@ class HIRCache:
             entry.counters[offset] = counter + 1
         return True
 
-    def record_hits(self, pages: "list[int]") -> None:
-        """Record a batch of page-walk hits, page by page in order.
-
-        Semantically identical to calling :meth:`record_hit` per page;
-        consecutive pages in the same page set (the common case for
-        strided traces) reuse the previous line without re-splitting.
-        """
-        self.stats.records += len(pages)
-        shift = self.geometry.shift
-        offset_mask = self.geometry.offset_mask
-        page_set_size = self.geometry.page_set_size
-        set_mask = self._set_mask
-        associativity = self.associativity
-        sets = self._sets
-        touch_append = self._touch_order.append
-        prev_tag = -1
-        entry: "_HIREntry | None" = None
-        for page in pages:
-            tag = page >> shift
-            if tag != prev_tag:
-                prev_tag = tag
-                lines = sets[tag & set_mask]
-                entry = lines.get(tag)
-                if entry is None:
-                    if len(lines) >= associativity:
-                        # Way conflict: drop this hit (and any repeats of
-                        # the same tag until the tag changes).
-                        self.stats.conflicts += 1
-                        continue
-                    entry = _HIREntry(tag, page_set_size)
-                    lines[tag] = entry
-                    touch_append(tag)
-            elif entry is None:
-                self.stats.conflicts += 1
-                continue
-            offset = page & offset_mask
-            counters = entry.counters
-            counter = counters[offset]
-            if counter < COUNTER_MAX:
-                counters[offset] = counter + 1
-
     def transfer(self) -> list[tuple[int, list[int]]]:
         """Copy out touched entries in first-touch order, then flush.
 

@@ -23,7 +23,7 @@ using HIR" (used in the Section V-A sensitivity studies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.adjustment import DynamicAdjustment
 from repro.core.chain import PageSetChain
@@ -283,16 +283,6 @@ class HPEPolicy(EvictionPolicy):
             return
         self._apply_hit_touch(page >> self._shift, page & self._offset_mask, 1)
 
-    def on_walk_hits(self, pages: Sequence[int]) -> None:
-        if self._use_hir:
-            self.hir.record_hits(list(pages))
-            return
-        shift = self._shift
-        offset_mask = self._offset_mask
-        apply_touch = self._apply_hit_touch
-        for page in pages:
-            apply_touch(page >> shift, page & offset_mask, 1)
-
     def _apply_hit_touch(self, tag: int, offset: int, count: int) -> None:
         key, entry, _mask, _divided = self._route_entry(tag, offset)
         if entry is None:
@@ -417,12 +407,15 @@ class HPEPolicy(EvictionPolicy):
     # Victim selection
     # ------------------------------------------------------------------
 
-    def _search(self) -> PageSetEntry:
-        """One strategy search: the page-set entry to evict from.
+    def select_victim(self) -> int:
+        """Search the chain for a page set, then evict its lowest page.
 
         MRU-C walks the old partition (:meth:`ArrayChain.mru_c_search`);
-        LRU takes the chain's least-recent entry.  Counts the search
-        and its comparisons into :class:`HPEStats` (Fig. 14).
+        LRU takes the chain's least-recent entry.  The search and its
+        comparisons count into :class:`HPEStats` (Fig. 14).  The victim
+        is the entry's lowest resident page (address order); a set left
+        with no resident page leaves the chain, and a divided primary
+        leaving it records its first division in the history.
         """
         if self.classification is None:
             self._classify_now()
@@ -431,13 +424,15 @@ class HPEPolicy(EvictionPolicy):
         if strategy is None:
             assert adjustment is not None
             strategy = adjustment.strategy
+        array = self._array
+        entry: Optional[PageSetEntry]
         if strategy is _MRU_C:
-            entry, comparisons = self._array.mru_c_search(
+            entry, comparisons = array.mru_c_search(
                 self._page_set_size,
                 adjustment.jump if adjustment is not None else 0,
             )
         else:
-            entry = self._array.first_payload()
+            entry = array.first_payload()
             comparisons = 1
         if entry is None:
             raise PolicyError("HPE chain is empty; nothing to evict")
@@ -446,52 +441,18 @@ class HPEPolicy(EvictionPolicy):
         stats.comparisons_total += comparisons
         if comparisons > stats.comparisons_max:
             stats.comparisons_max = comparisons
-        return entry
 
-    def _evict_page(self, entry: PageSetEntry) -> int:
-        """Evict ``entry``'s lowest resident page (address order).
-
-        A set left with no resident page leaves the chain; a divided
-        primary leaving it records its first division in the history.
-        """
         offset = entry.lowest_resident_offset()
         page = (entry.tag << self._shift) + offset
         entry.mark_evicted(offset)
         self._resident_pages -= 1
         if not entry.resident_mask:
-            self._array.remove(entry.key)
+            array.remove(entry.key)
             if entry.divided and entry.part is _PRIMARY:
                 self.history.record(entry.tag, entry.member_mask)
-        adjustment = self.adjustment
         if adjustment is not None:
             adjustment.on_eviction(page)
         return page
-
-    def select_victim(self) -> int:
-        return self._evict_page(self._search())
-
-    def select_victims_batch(self, count: int) -> list[int]:
-        """Drain-based batch victim selection (fastpath v3, DESIGN §13).
-
-        One strategy search picks a page-set entry; the batch then
-        drains that entry's resident pages in ``lowest_resident_offset``
-        order before searching again.  With no interleaved page-ins the
-        chain is static between searches, so LRU-style strategies would
-        re-select the same entry anyway; MRU_C's jump distance can move
-        mid-drain after ``adjustment.on_eviction``, which is the
-        documented metric-level relaxation (R3/R4) — per-page
-        bookkeeping (mark_evicted, resident count, adjustment, divided
-        history) still matches the sequential path page for page.
-        """
-        victims: list[int] = []
-        entry: Optional[PageSetEntry] = None
-        while len(victims) < count:
-            if entry is None:
-                entry = self._search()
-            victims.append(self._evict_page(entry))
-            if not entry.resident_mask:
-                entry = None
-        return victims
 
     # ------------------------------------------------------------------
     # Timing hooks

@@ -1,54 +1,31 @@
-"""Struct-of-arrays backing stores for the hot simulation state.
+"""Struct-of-arrays backing store for HPE's page set chain.
 
-PR 5's profile (DESIGN.md §9.4) showed the per-fault cost of the
-object-per-page-set chain: three ``OrderedDict`` partitions probed in
-sequence on every lookup, an ``O(middle)`` merge on every interval
-advance, and a dict node per entry.  This module provides the flat
-replacements behind the existing interfaces:
+The object-per-page-set chain paid per fault for three ``OrderedDict``
+partitions probed in sequence on every lookup, an ``O(middle)`` merge on
+every interval advance, and a dict node per entry. :class:`ArrayChain`
+is the flat replacement behind the existing interface: the
+three-partition recency chain realised as index-linked ``prev``/``next``
+lists plus an interval *stamp* per slot. The partition of a slot is
+**derived** (``intervals - stamp``), so advancing the interval is an
+O(1) pointer splice instead of an ``OrderedDict.update`` over the whole
+middle partition, and a lookup is one dict probe instead of up to three.
+It also owns the MRU-C victim walk (:meth:`ArrayChain.mru_c_search`),
+the one implementation every HPE search path calls.
 
-:class:`ArrayChain`
-    The three-partition recency chain realised as index-linked
-    ``prev``/``next`` lists plus an interval *stamp* per slot.  The
-    partition of a slot is **derived** (``intervals - stamp``), so
-    advancing the interval is an O(1) pointer splice instead of an
-    ``OrderedDict.update`` over the whole middle partition, and a
-    lookup is one dict probe instead of up to three.  It also owns the
-    MRU-C victim walk (:meth:`ArrayChain.mru_c_search`), the one
-    implementation every HPE search path calls.
-
-:class:`Bitmap`
-    A set of non-negative ints backed by a flat boolean array (one byte
-    per page instead of a hash-set entry), with a plain-``set``
-    fallback when numpy is unavailable or the universe is too sparse.
-
-Both structures are **bit-identical** in observable behaviour to the
-object implementations they replace; ``tests/core/test_soa.py`` proves
-it with seeded randomized op-sequence (metamorphic) equivalence runs
-against the retained reference implementations (and the MRU-C walk
-against the generator-based search it replaced).
+The chain is **bit-identical** in observable behaviour to the object
+implementation it replaces; ``tests/core/test_soa.py`` proves it with
+seeded randomized op-sequence (metamorphic) equivalence runs against
+the retained reference implementation
+(:class:`repro.core.chain.ReferencePageSetChain`), and the MRU-C walk
+against the generator-based search it replaced.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
-
-try:  # numpy is optional at runtime (test extra); fall back, don't require.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None  # type: ignore[assignment]
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Partition indices of the three chain segments.
 OLD, MIDDLE, NEW = 0, 1, 2
-
-#: Above this element index a :class:`Bitmap` abandons the dense array
-#: and degrades to plain-``set`` semantics (a sparse universe would
-#: otherwise allocate one byte per *possible* element).
-DENSE_LIMIT = 1 << 24
-
-
-def numpy_available() -> bool:
-    """``True`` when :class:`Bitmap` can use its dense array backing."""
-    return np is not None
 
 
 class ArrayChain:
@@ -68,9 +45,10 @@ class ArrayChain:
     the old list (four pointer writes) and renames new to middle.
 
     Ordering semantics are exactly those of the three-``OrderedDict``
-    reference implementation (:class:`repro.core.chain.ReferenceChain`):
-    inserts and promotions append at the MRU end of *new*; the splice
-    preserves relative order old-then-middle.
+    reference implementation
+    (:class:`repro.core.chain.ReferencePageSetChain`): inserts and
+    promotions append at the MRU end of *new*; the splice preserves
+    relative order old-then-middle.
     """
 
     __slots__ = (
@@ -344,144 +322,3 @@ class ArrayChain:
                 best_counter = counter
             slot = prev[slot]
         return best, comparisons
-
-
-class Bitmap:
-    """Set of non-negative ints over a flat boolean array.
-
-    Drop-in for the ``set[int]`` operations the driver and the batch
-    kernels use (``in``, ``add``, ``discard``, ``update``,
-    ``isdisjoint``) at one byte per element of the (dense) universe.
-    Elements at or above :data:`DENSE_LIMIT` — or every element when
-    numpy is missing — switch the instance to an exact plain-``set``
-    fallback, so behaviour never depends on the backing.
-    """
-
-    __slots__ = ("_bits", "_fallback")
-
-    def __init__(self, initial_size: int = 1024) -> None:
-        if np is not None:
-            self._bits: Optional[Any] = np.zeros(
-                max(1, initial_size), dtype=bool
-            )
-            self._fallback: Optional[set] = None
-        else:  # pragma: no cover - numpy-free fallback
-            self._bits = None
-            self._fallback = set()
-
-    def _degrade(self) -> set:
-        """Switch to plain-set semantics (sparse/huge universe)."""
-        bits = self._bits
-        assert bits is not None and np is not None
-        self._fallback = set(np.flatnonzero(bits).tolist())
-        self._bits = None
-        return self._fallback
-
-    def _ensure(self, element: int) -> Any:
-        """Grow the dense array to cover ``element``; may degrade."""
-        bits = self._bits
-        assert bits is not None and np is not None
-        if element >= DENSE_LIMIT:
-            return None
-        size = bits.shape[0]
-        new_size = size * 2
-        while new_size <= element:
-            new_size *= 2
-        grown = np.zeros(new_size, dtype=bool)
-        grown[:size] = bits
-        self._bits = grown
-        return grown
-
-    def __contains__(self, element: int) -> bool:
-        fallback = self._fallback
-        if fallback is not None:
-            return element in fallback
-        bits = self._bits
-        return 0 <= element < bits.shape[0] and bool(bits[element])
-
-    def __len__(self) -> int:
-        fallback = self._fallback
-        if fallback is not None:
-            return len(fallback)
-        return int(self._bits.sum())
-
-    def __iter__(self) -> Iterator[int]:
-        fallback = self._fallback
-        if fallback is not None:
-            return iter(fallback)
-        assert np is not None
-        return iter(np.flatnonzero(self._bits).tolist())
-
-    def add(self, element: int) -> None:
-        if element < 0:
-            # A negative element would wrap to the array tail under
-            # numpy indexing and silently corrupt membership.
-            raise ValueError(f"Bitmap elements must be >= 0, got {element}")
-        fallback = self._fallback
-        if fallback is not None:
-            fallback.add(element)
-            return
-        bits = self._bits
-        if element >= bits.shape[0]:
-            bits = self._ensure(element)
-            if bits is None:
-                self._degrade().add(element)
-                return
-        bits[element] = True
-
-    def discard(self, element: int) -> None:
-        fallback = self._fallback
-        if fallback is not None:
-            fallback.discard(element)
-            return
-        bits = self._bits
-        if 0 <= element < bits.shape[0]:
-            bits[element] = False
-
-    def update(self, elements: Iterable[int]) -> None:
-        fallback = self._fallback
-        if fallback is not None:
-            fallback.update(elements)
-            return
-        assert np is not None
-        arr = np.asarray(
-            elements if isinstance(elements, (list, tuple)) else list(elements),
-            dtype=np.int64,
-        )
-        if arr.size == 0:
-            return
-        if int(arr.min()) < 0:
-            raise ValueError("Bitmap elements must be >= 0")
-        top = int(arr.max())
-        bits = self._bits
-        if top >= bits.shape[0]:
-            bits = self._ensure(top)
-            if bits is None:
-                self._degrade().update(arr.tolist())
-                return
-        bits[arr] = True
-
-    def isdisjoint(self, elements: Iterable[int]) -> bool:
-        fallback = self._fallback
-        if fallback is not None:
-            return fallback.isdisjoint(elements)
-        assert np is not None
-        arr = np.asarray(
-            elements if isinstance(elements, (list, tuple)) else list(elements),
-            dtype=np.int64,
-        )
-        if arr.size == 0:
-            return True
-        bits = self._bits
-        in_range = arr[arr < bits.shape[0]]
-        if in_range.size == 0:
-            return True
-        return not bool(bits[in_range].any())
-
-    def dense_view(self) -> Optional[Any]:
-        """The backing boolean array, or ``None`` in fallback mode.
-
-        Vector consumers (the v3 kernel's residency classification) index
-        this directly; mutating it mutates the bitmap.
-        """
-        return self._bits

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.core.soa import Bitmap
-
 
 class CapacityError(RuntimeError):
     """Raised when a page is mapped into an already-full frame pool."""
@@ -34,12 +32,6 @@ class FramePool:
         self._free: list[int] = list(range(capacity - 1, -1, -1))
         self._frame_of_page: dict[int, int] = {}
         self._page_of_frame: dict[int, int] = {}
-        #: Flat residency view (one bool per page) kept in lockstep with
-        #: ``_frame_of_page`` by :meth:`map_page`/:meth:`unmap_page`
-        #: here; kernels that inline faults resynchronize it when their
-        #: replay ends.  Vector consumers index it directly; the
-        #: invariant sanitizer asserts it always mirrors the dict.
-        self.residency = Bitmap()
 
     @property
     def capacity(self) -> int:
@@ -85,7 +77,6 @@ class FramePool:
         frame = self._free.pop()
         self._frame_of_page[page] = frame
         self._page_of_frame[frame] = page
-        self.residency.add(page)
         return frame
 
     def unmap_page(self, page: int) -> int:
@@ -96,7 +87,6 @@ class FramePool:
             raise KeyError(f"page {page:#x} is not resident") from None
         del self._page_of_frame[frame]
         self._free.append(frame)
-        self.residency.discard(page)
         return frame
 
     def resident_pages(self) -> Iterator[int]:

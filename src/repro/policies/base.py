@@ -55,19 +55,6 @@ class EvictionPolicy(abc.ABC):
     def on_walk_hit(self, page: int) -> None:
         """The walker hit ``page``'s PTE (page is resident)."""
 
-    def on_walk_hits(self, pages: Sequence[int]) -> None:
-        """Batched equivalent of :meth:`on_walk_hit` over ``pages``.
-
-        Must be observably identical to calling :meth:`on_walk_hit` once
-        per page in order — the relaxed kernel (tier 3) relies on that
-        equivalence.
-        Subclasses may override to hoist per-call overhead out of the
-        loop, never to change semantics.
-        """
-        on_walk_hit = self.on_walk_hit
-        for page in pages:
-            on_walk_hit(page)
-
     def on_trace_position(self, position: int) -> None:
         """Advance the global reference index (offline policies only)."""
 
@@ -81,20 +68,6 @@ class EvictionPolicy(abc.ABC):
         Called only when GPU memory is full; the driver immediately evicts
         the returned page, so the policy must also forget it.
         """
-
-    def select_victims_batch(self, count: int) -> list[int]:
-        """Return ``count`` victims for one batched eviction burst.
-
-        The relaxed batch kernel (fastpath v3) calls this once per fault
-        run, with **no page-ins interleaved** between the selections.
-        The default is the literal sequential loop, so every policy is
-        batch-safe out of the box.  Overrides may amortize the
-        per-victim search (HPE drains each selected page set) but must
-        stay *metric-equivalent* to the sequential loop under the
-        no-interleaved-page-ins premise — the v3 contract (DESIGN §13).
-        """
-        select_victim = self.select_victim
-        return [select_victim() for _ in range(count)]
 
     def resident_count(self) -> Optional[int]:
         """Number of pages the policy believes are resident, if tracked."""

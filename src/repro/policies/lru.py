@@ -8,7 +8,6 @@ reference order, with no transfer latency (Section V-B).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
 
 from repro.policies.base import EvictionPolicy, PolicyError
 
@@ -29,13 +28,6 @@ class LRUPolicy(EvictionPolicy):
     def on_walk_hit(self, page: int) -> None:
         if page in self._chain:
             self._chain.move_to_end(page)
-
-    def on_walk_hits(self, pages: Sequence[int]) -> None:
-        chain = self._chain
-        move_to_end = chain.move_to_end
-        for page in pages:
-            if page in chain:
-                move_to_end(page)
 
     def select_victim(self) -> int:
         if not self._chain:

@@ -164,9 +164,8 @@ class ScenarioSpec:
     hpe_config: Optional[HPEConfig] = None
     prefetch_degree: int = 0
     #: Requested simulator tier.  ``None`` ≡ the engine default; tiers
-    #: 0–2 are bit-identical so they share one identity, while the
-    #: relaxed tier 3 (DESIGN §13) is *metric-equivalent* only and must
-    #: carry its own digest — see :meth:`canonical`.
+    #: 0–2 are bit-identical, so the field is a speed knob and stays
+    #: out of :meth:`canonical`.
     fastpath: Optional[int] = None
     #: Extra generator parameters for non-paper families (sorted pairs).
     params: tuple[tuple[str, object], ...] = ()
@@ -179,9 +178,9 @@ class ScenarioSpec:
         object.__setattr__(self, "params", _normalise_params(self.params))
         if self.prefetch_degree < 0:
             raise ScenarioError("prefetch_degree must be non-negative")
-        if self.fastpath is not None and self.fastpath not in (0, 1, 2, 3):
+        if self.fastpath is not None and self.fastpath not in (0, 1, 2):
             raise ScenarioError(
-                f"fastpath must be None or 0..3, got {self.fastpath!r}"
+                f"fastpath must be None or 0..2, got {self.fastpath!r}"
             )
 
     @property
@@ -204,12 +203,9 @@ class ScenarioSpec:
     def canonical(self) -> str:
         """The one normalised identity string every hash derives from.
 
-        The ``fastpath`` field participates **only when it selects a
-        relaxed tier** (≥ 3): tiers 0–2 are proven bit-identical by the
-        differential harness, so pinning any of them is a performance
-        knob, not an identity change, and every pre-existing digest
-        stays stable.  Tier-3 results may drift within the §13
-        tolerances and therefore hash differently.
+        The ``fastpath`` field never participates: the tiers are proven
+        bit-identical by the differential harness, so pinning one is a
+        performance knob, not an identity change.
         """
         parts = [
             f"schema={_cache_schema_version()}",
@@ -224,8 +220,6 @@ class ScenarioSpec:
             f"hpe={stable_config_repr(self.effective_hpe_config)}",
             f"params={_params_canonical(self.params)}",
         ]
-        if self.fastpath is not None and self.fastpath >= 3:
-            parts.append(f"fastpath={self.fastpath}")
         return "|".join(parts)
 
     def digest(self) -> str:

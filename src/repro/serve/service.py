@@ -282,15 +282,6 @@ class EvaluationService:
                 "'cell' submissions do not support generator params; "
                 "submit a 'spec' grid instead"
             )
-        if cell.fastpath is not None and cell.fastpath >= 3:
-            # Tiers 0-2 are bit-identical, so normalising them away is
-            # observable to nobody; tier 3 is metric-equivalent only and
-            # must never be served as if it were exact.
-            raise ScenarioError(
-                "'cell' submissions cannot request the relaxed fastpath "
-                f"tier {cell.fastpath} (the service serves bit-exact "
-                "results; run relaxed tiers locally via run_spec)"
-            )
         return MatrixSpec(
             policies=(cell.policy,),
             rates=(cell.rate,),

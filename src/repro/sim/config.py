@@ -29,46 +29,32 @@ FASTPATH_ENV = "REPRO_SIM_FASTPATH"
 DEFAULT_FASTPATH_LEVEL = 1
 
 
-#: Highest selectable tier.  Tiers 0 and 1 are bit-identical; tier 3 is
-#: the *metric-equivalent* relaxed kernel (DESIGN §13) and must be
-#: opted into explicitly — it is never the default.
-MAX_FASTPATH_LEVEL = 3
-
-
 def resolve_fastpath_level(fast: Optional[Union[bool, int]] = None) -> int:
     """Resolve the requested fastpath tier to an integer level.
 
-    Levels: ``0`` — reference loop; ``1`` — the exact fast kernel;
-    ``3`` — the relaxed *metric-equivalent* kernel (tolerance-gated
-    rather than bit-identical — DESIGN §13) with per-run eligibility
-    fallback to tier 1.  ``2`` numbered the retired batch kernel and
-    resolves to ``1``, so pinned specs, ``REPRO_SIM_FASTPATH=2`` and
-    ``--fastpath 2`` keep working.  ``fast`` may be ``None`` (consult
-    :data:`FASTPATH_ENV`, default :data:`DEFAULT_FASTPATH_LEVEL`), a
-    bool (the historical ``fast=`` argument: ``True`` → default tier,
-    ``False`` → reference), or an explicit level.  Out-of-range values
-    clamp into ``[0, 3]``.
-
-    The env var alone clamps to ``[0, 2]``: tier 3 changes simulated
-    metrics, so it must arrive as an *explicit* argument (a spec's
-    ``fastpath`` field, or ``fast=3``) that the result cache and run
-    identities can see — an ambient env var must never silently relax
-    cached results.
+    Levels: ``0`` — reference loop; ``1`` — the exact fast kernel.
+    ``fast`` may be ``None`` (consult :data:`FASTPATH_ENV`, default
+    :data:`DEFAULT_FASTPATH_LEVEL`; an unparsable value means the
+    default), a bool (the historical ``fast=`` argument: ``True`` →
+    default tier, ``False`` → reference), or an explicit level.  Env and
+    explicit levels follow one rule: they clamp into ``[0, 2]``, and
+    ``2`` — the retired batch kernel's number — resolves to ``1``, so
+    pinned specs, ``REPRO_SIM_FASTPATH=2`` and ``--fastpath 2`` keep
+    working.
     """
     if fast is None:
-        # Tier selection only: tiers 0-2 are bit-identical (diff-gated),
+        # Tier selection only: the tiers are bit-identical (diff-gated),
         # so the env read steers speed, never cached results.
         raw = os.environ.get(FASTPATH_ENV, "")  # noqa: REP012
         try:
             level = int(raw) if raw.strip() else DEFAULT_FASTPATH_LEVEL
         except ValueError:
             level = DEFAULT_FASTPATH_LEVEL
-        level = max(0, min(2, level))  # env caps at the bit-identical tiers
     elif isinstance(fast, bool):
         level = DEFAULT_FASTPATH_LEVEL if fast else 0
     else:
-        level = max(0, min(MAX_FASTPATH_LEVEL, int(fast)))
-    return 1 if level == 2 else level
+        level = int(fast)
+    return 0 if level <= 0 else 1
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import check as check_module
 from repro.check.invariants import InvariantChecker
-from repro.core.soa import Bitmap
 from repro.memory.frames import FramePool
 from repro.memory.page_table import PageTable, PageTableEntry
 from repro.policies.base import EvictionPolicy
@@ -131,19 +130,14 @@ class UVMSimulator:
     ) -> SimulationResult:
         """Replay ``trace`` and return the collected metrics.
 
-        Three inner loops exist: the exact fast kernel (tier 1, the
-        default), the straightforward reference loop (tier 0), and the
-        relaxed metric-equivalent kernel (tier 3, explicit opt-in only
-        — DESIGN §13).  Tiers 0 and 1 produce bit-identical results —
-        ``tests/diff`` cross-checks them.  ``fast`` takes a tier number
-        (``None`` consults ``REPRO_SIM_FASTPATH``; a bool still works:
-        ``False`` is the reference loop, ``True`` the default); a
-        requested 2 is the retired batch kernel's number and runs tier
-        1.  Runs tier 3 cannot replay (observed, sanitized, offline
-        policies, prefetching) fall back to tier 1; the tier that
-        actually executed is recorded in ``result.extras["fastpath"]``
-        so callers (the diff harness, the CLI) can report fallbacks
-        instead of silently comparing a tier against itself.
+        Two inner loops exist: the exact fast kernel (tier 1, the
+        default) and the straightforward reference loop (tier 0).  They
+        produce bit-identical results — ``tests/diff`` cross-checks
+        them.  ``fast`` takes a tier number (``None`` consults
+        ``REPRO_SIM_FASTPATH``; a bool still works: ``False`` is the
+        reference loop, ``True`` the default); a requested 2 is the
+        retired batch kernel's number and runs tier 1.  The requested
+        and executed tiers are recorded in ``result.extras["fastpath"]``.
         """
         level = resolve_fastpath_level(fast)
         if self.policy.requires_future:
@@ -161,21 +155,12 @@ class UVMSimulator:
                 trace_length=len(trace),
             )
         started = time.monotonic()  # noqa: REP012 — extras-only timing
-        executed = level
-        if level >= 3:
-            from repro.sim import fastpath3
-
-            if fastpath3.eligible(self, trace):
-                cycles = fastpath3.replay(self, trace)
-            else:
-                executed = 1
-                cycles = self._replay_fast(trace)
-        elif level == 1:
+        if level == 1:
             cycles = self._replay_fast(trace)
         else:
             cycles = self._replay_reference(trace)
         result = self._collect(trace, workload_name, cycles)
-        result.extras["fastpath"] = {"requested": level, "executed": executed}
+        result.extras["fastpath"] = {"requested": level, "executed": level}
         # Wall-clock spent replaying, for supervisor/journal accounting.
         # Lives in ``extras`` — key_metrics() stays wall-clock-free so
         # determinism digests are unaffected.
@@ -281,10 +266,7 @@ class UVMSimulator:
             and driver.prefetch_degree == 0
         )
         stats = driver.stats
-        ever_touched, page_size = driver.fastpath_state()
-        # A plain-set mirror of the first-touch bitmap: membership is
-        # the per-fault test, and a set answers it without a method call.
-        touched = set(ever_touched)
+        touched, page_size = driver.fastpath_state()
         frame_of_page = self.frame_pool._frame_of_page
         page_of_frame = self.frame_pool._page_of_frame
         free_frames = self.frame_pool._free
@@ -415,7 +397,6 @@ class UVMSimulator:
                 fault_number += 1
                 if page not in touched:
                     touched.add(page)
-                    ever_touched.add(page)
                     compulsory_faults += 1
                 if pending_cb:
                     on_fault_pending(page)
@@ -505,9 +486,6 @@ class UVMSimulator:
             stats.evictions += evictions
             stats.bytes_migrated_in += faults * page_size
             stats.bytes_evicted_out += evictions * page_size
-            # The pool's flat residency view, resynchronized once.
-            self.frame_pool.residency = Bitmap()
-            self.frame_pool.residency.update(list(frame_of_page))
 
         return max(max(warp_ready, default=0), max(sm_issue_time, default=0))
 

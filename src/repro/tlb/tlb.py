@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.memory.addressing import is_power_of_two
 
@@ -145,57 +144,6 @@ class TLB:
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
-
-    @staticmethod
-    def apply_batched_misses(
-        entries: OrderedDict[int, int],
-        pages: "list[int]",
-        frames: "list[int]",
-        associativity: int,
-        evicted: "Optional[list[int]]" = None,
-    ) -> int:
-        """Apply a batch of deferred miss-fills to one set; return the
-        number of LRU evictions it caused.
-
-        Contract: ``pages`` are pairwise distinct, all absent from
-        ``entries``, and the set received no other mutation since the
-        first fill was deferred.  Under those conditions replaying the
-        fills sequentially evicts ``max(0, occupancy + count - assoc)``
-        LRU-front entries and leaves the batch at the MRU end in batch
-        order — which is computed here in one pass instead of
-        ``count`` probe/evict steps.  When ``evicted`` is given, the
-        evicted pages are appended to it in eviction order (callers
-        tracking TLB presence need the identities, not just the count).
-        """
-        count = len(pages)
-        occupancy = len(entries)
-        overflow = occupancy + count - associativity
-        if overflow <= 0:
-            for page, frame in zip(pages, frames):
-                entries[page] = frame
-            return 0
-        if count >= associativity:
-            # Every pre-existing entry overflows, as does the batch's own
-            # head: only the last ``associativity`` fills survive.
-            if evicted is not None:
-                evicted.extend(entries)
-                evicted.extend(pages[:count - associativity])
-            entries.clear()
-            for page, frame in zip(
-                pages[count - associativity:],
-                frames[count - associativity:],
-            ):
-                entries[page] = frame
-            return overflow
-        if evicted is not None:
-            for _ in range(overflow):
-                evicted.append(entries.popitem(last=False)[0])
-        else:
-            for _ in range(overflow):
-                entries.popitem(last=False)
-        for page, frame in zip(pages, frames):
-            entries[page] = frame
-        return overflow
 
     def flush(self) -> None:
         """Drop every translation."""

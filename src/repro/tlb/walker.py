@@ -55,12 +55,6 @@ class PageTableWalker:
         self.hits = 0
         self.faults = 0
 
-    def add_batched_counts(self, walks: int, hits: int, faults: int) -> None:
-        """Fold walk/hit/fault tallies accumulated by a fast path."""
-        self.walks += walks
-        self.hits += hits
-        self.faults += faults
-
     def observe_into(self, registry: MetricsRegistry) -> None:
         """Fold the walk/hit/fault tallies into a ``MetricsRegistry``."""
         registry.inc("walker.walks", self.walks)

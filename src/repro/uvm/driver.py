@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.soa import Bitmap
 from repro.memory.addressing import PAGE_SIZE_BYTES
 from repro.memory.frames import FramePool
 from repro.memory.page_table import PageTable
@@ -103,15 +102,12 @@ class UVMDriver:
         #: the fault path at one pointer check.
         self.checker: Optional["InvariantChecker"] = None
         self.stats = DriverStats()
-        #: First-touch set — a flat :class:`~repro.core.soa.Bitmap`
-        #: (one byte per page) instead of a hash set since the SoA
-        #: refactor; behaviour is set-identical.
-        self._ever_touched: Bitmap = Bitmap()
+        #: Pages that have faulted at least once (first-touch set).
+        self._ever_touched: set[int] = set()
 
-    def fastpath_state(self) -> tuple[Bitmap, int]:
-        """Internals for the kernels that inline faults
-        (:meth:`repro.sim.engine.UVMSimulator._replay_fast`,
-        :mod:`repro.sim.fastpath3`).
+    def fastpath_state(self) -> tuple[set[int], int]:
+        """Internals for the kernel that inlines faults
+        (:meth:`repro.sim.engine.UVMSimulator._replay_fast`).
 
         Returns ``(ever_touched, page_size_bytes)``.  The caller may
         replay faults itself — with exactly the :meth:`service_fault`

@@ -1,11 +1,10 @@
-"""Metamorphic equivalence for the struct-of-arrays hot structures.
+"""Metamorphic equivalence for the struct-of-arrays page set chain.
 
-:class:`repro.core.soa.ArrayChain` (via :class:`PageSetChain`) and
-:class:`repro.core.soa.Bitmap` replaced the object-per-entry
-implementations on the fault path; the originals are retained as
-oracles (:class:`ReferencePageSetChain`, plain ``set``).  These tests
-drive long seeded randomized op sequences through both implementations
-in lockstep — no hypothesis dependency, just ``random.Random(seed)`` —
+:class:`repro.core.soa.ArrayChain` (via :class:`PageSetChain`) replaced
+the object-per-entry chain on the fault path; the original is retained
+as the oracle (:class:`ReferencePageSetChain`).  These tests drive long
+seeded randomized op sequences through both implementations in
+lockstep — no hypothesis dependency, just ``random.Random(seed)`` —
 and assert every observable agrees after every single operation:
 membership, sizes, partition split, full iteration order, and the LRU
 election the HPE strategies depend on.
@@ -25,7 +24,6 @@ import pytest
 
 from repro.core.chain import PageSetChain, ReferencePageSetChain
 from repro.core.pageset import PageSetEntry, SetPart
-from repro.core.soa import DENSE_LIMIT, Bitmap, numpy_available
 from repro.core.strategies import select_lru, select_mru_c
 
 SEEDS = (1, 7, 42, 1337, 271828)
@@ -299,74 +297,3 @@ def test_mru_c_walk_edges() -> None:
     assert pick(0) == (2, 3)
     assert pick(3) == (1, 2)
 
-
-# -- Bitmap vs plain set --------------------------------------------------
-
-
-def _bitmap_observe(bitmap: Bitmap, universe: range) -> tuple:
-    return (
-        len(bitmap),
-        sorted(bitmap),
-        [element in bitmap for element in universe],
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bitmap_matches_set_on_random_op_sequences(seed: int) -> None:
-    """Bitmap == set after every op of a seeded run, dense universe."""
-    rng = random.Random(seed)
-    universe = range(512)
-    bitmap = Bitmap(initial_size=8)  # force growth paths
-    reference: set = set()
-    for step in range(OPS_PER_RUN):
-        op = rng.random()
-        element = rng.randrange(512)
-        if op < 0.45:
-            bitmap.add(element)
-            reference.add(element)
-        elif op < 0.75:
-            bitmap.discard(element)
-            reference.discard(element)
-        elif op < 0.90:
-            batch = [rng.randrange(512) for _ in range(rng.randrange(8))]
-            bitmap.update(batch)
-            reference.update(batch)
-        else:
-            probe = {rng.randrange(512) for _ in range(3)}
-            assert bitmap.isdisjoint(probe) == reference.isdisjoint(probe)
-        assert _bitmap_observe(bitmap, universe) == (
-            len(reference), sorted(reference),
-            [element in reference for element in universe],
-        ), f"divergence at step {step} (seed {seed})"
-
-
-def test_bitmap_degrades_to_set_beyond_dense_limit() -> None:
-    """A sparse-universe element flips the bitmap to set semantics."""
-    bitmap = Bitmap()
-    bitmap.add(5)
-    bitmap.add(DENSE_LIMIT + 123)
-    assert 5 in bitmap
-    assert DENSE_LIMIT + 123 in bitmap
-    assert len(bitmap) == 2
-    assert sorted(bitmap) == [5, DENSE_LIMIT + 123]
-    bitmap.discard(DENSE_LIMIT + 123)
-    assert sorted(bitmap) == [5]
-    # dense_view is unavailable after degradation, by contract
-    assert bitmap.dense_view() is None
-
-
-def test_bitmap_dense_view_reflects_contents() -> None:
-    if not numpy_available():
-        pytest.skip("numpy-free install: no dense view")
-    bitmap = Bitmap(initial_size=16)
-    bitmap.update([1, 3, 200])
-    view = bitmap.dense_view()
-    assert view is not None
-    assert bool(view[1]) and bool(view[3]) and bool(view[200])
-    assert not bool(view[2])
-
-
-def test_bitmap_negative_elements_rejected() -> None:
-    bitmap = Bitmap()
-    with pytest.raises(ValueError):
-        bitmap.add(-1)

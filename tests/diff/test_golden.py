@@ -1,7 +1,7 @@
 """Golden key-metrics snapshots: what the (agreeing) tiers agree on.
 
 The differential matrix proves tier equality; these snapshots pin the
-absolute numbers so a lockstep semantic regression — all three tiers
+absolute numbers so a lockstep semantic regression — both tiers
 drifting together — still fails.  Regenerate after an intentional
 change with ``hpe-repro golden --update`` and review the JSON diff.
 """
@@ -11,8 +11,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.check import golden
+from repro.check.diffrun import run_level
 from repro.check.difftraces import GENERATORS
+from repro.workloads.suite import get_application
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -72,12 +76,11 @@ def test_missing_snapshot_is_reported(tmp_path) -> None:
 
 
 def test_exact_goldens_byte_identical_to_manifest() -> None:
-    """The v1/v2 snapshot *bytes* are pinned, not just their meaning.
+    """The snapshot *bytes* are pinned, not just their meaning.
 
     ``MANIFEST.sha256`` was recorded before the struct-of-arrays core
-    landed; tiers 0-2 must stay bit-identical through it, so the exact
-    golden files must never change — not even re-serialisation.  The
-    relaxed tier writes its own ``golden_trends`` snapshots instead.
+    landed; the tiers must stay bit-identical through it, so the golden
+    files must never change — not even re-serialisation.
     """
     import hashlib
 
@@ -100,79 +103,57 @@ def test_exact_goldens_byte_identical_to_manifest() -> None:
         )
 
 
-# -- relaxed-tier trend snapshots -----------------------------------------
+# -- paper orderings on paper traces --------------------------------------
 
-TREND_DIR = Path(__file__).parent / "golden_trends"
+#: ``(cycles, driver faults)`` per policy at tier 1 on the paper's BFS
+#: and STN traces (scale 0.5, trace seed 0, policy seed 7, capacity
+#: ``max(8, int(footprint * rate))``).
+PAPER_CELLS = {
+    ("BFS", 0.75): {
+        "hpe": (153523462, 5373),
+        "lru": (271462092, 9480),
+        "random": (166414953, 5822),
+    },
+    ("BFS", 0.5): {
+        "hpe": (211300175, 7376),
+        "lru": (399224052, 13920),
+        "random": (288232494, 10055),
+    },
+    ("STN", 0.75): {
+        "hpe": (55952211, 1952),
+        "lru": (88115251, 3072),
+        "random": (45125902, 1575),
+    },
+    ("STN", 0.5): {
+        "hpe": (75284499, 2624),
+        "lru": (88149715, 3072),
+        "random": (72183063, 2516),
+    },
+}
 
-
-def test_trend_snapshot_files_are_checked_in() -> None:
-    for kind in golden.trend_kinds():
-        path = TREND_DIR / f"{kind}.json"
-        assert path.is_file(), (
-            f"missing trend snapshot {path}; generate with: "
-            "hpe-repro golden --update"
-        )
-
-
-def test_trend_kinds_cover_paper_apps() -> None:
-    kinds = golden.trend_kinds()
-    assert set(GENERATORS) <= set(kinds)
-    for app in golden.TREND_PAPER_APPS:
-        assert f"paper-{app}" in kinds
-
-
-def test_current_kernel_matches_trend_snapshots() -> None:
-    problems = golden.check_golden_trends(TREND_DIR)
-    assert not problems, "\n".join(problems)
-
-
-def test_trend_gate_is_not_vacuous() -> None:
-    """At least one committed trend cell is decisive, and all hold.
-
-    If no cell were decisive the trend gate would pass on any kernel,
-    including one that inverts every policy ordering.
-    """
-    decisive = 0
-    for kind in golden.trend_kinds():
-        with open(TREND_DIR / f"{kind}.json", encoding="ascii") as stream:
-            snapshot = json.load(stream)
-        for key, cell in snapshot["trends"].items():
-            assert cell["holds"], (kind, key, cell)
-            decisive += bool(cell["decisive"])
-    assert decisive > 0, "no decisive trend cells — the gate is vacuous"
+#: Policies HPE must beat on both cycles and faults (Figs. 10-11): LRU
+#: everywhere, Random on BFS at 50%, where the gap is decisive.
+PAPER_ORDERINGS = {
+    ("BFS", 0.75): ("lru",),
+    ("BFS", 0.5): ("lru", "random"),
+    ("STN", 0.75): ("lru",),
+    ("STN", 0.5): ("lru",),
+}
 
 
-def test_trend_spec_digests_carry_the_relaxed_tier() -> None:
-    """Trend cells hash differently from their exact counterparts."""
-    exact = golden.golden_spec("phased", "hpe", 0.75)
-    relaxed = golden.golden_trend_spec("phased", "hpe", 0.75)
-    assert relaxed.fastpath == golden.TREND_LEVEL
-    assert exact.digest() != relaxed.digest()
-    paper = golden.golden_trend_spec("paper-BFS", "hpe", 0.75)
-    assert paper.family == "paper"
-    assert paper.workload == "BFS"
-    assert paper.fastpath == golden.TREND_LEVEL
-
-
-def test_tampered_trend_reference_is_detected(tmp_path) -> None:
-    """A perturbed bit-exact reference value must be reported."""
-    (written,) = golden.write_golden_trends(tmp_path, kinds=["phased"])
-    snapshot = json.loads(written.read_text(encoding="ascii"))
-    key = sorted(snapshot["trends"])[0]
-    better = sorted(snapshot["trends"][key]["reference"])[0]
-    snapshot["trends"][key]["reference"][better] += 1
-    written.write_text(json.dumps(snapshot), encoding="ascii")
-    problems = golden.check_golden_trends(tmp_path, kinds=["phased"])
-    assert any("reference values moved" in problem
-               for problem in problems), problems
-
-
-def test_committed_broken_trend_is_detected(tmp_path) -> None:
-    """A snapshot recording holds=false must be rejected outright."""
-    (written,) = golden.write_golden_trends(tmp_path, kinds=["strided"])
-    snapshot = json.loads(written.read_text(encoding="ascii"))
-    key = sorted(snapshot["trends"])[0]
-    snapshot["trends"][key]["holds"] = False
-    written.write_text(json.dumps(snapshot), encoding="ascii")
-    problems = golden.check_golden_trends(tmp_path, kinds=["strided"])
-    assert any("holds=false" in problem for problem in problems), problems
+@pytest.mark.parametrize("app,rate", sorted(PAPER_CELLS))
+def test_paper_cells_and_orderings(app: str, rate: float) -> None:
+    """HPE, LRU and Random on paper traces: exact values and orderings."""
+    trace = get_application(app).build(scale=0.5)
+    capacity = max(8, int(trace.footprint_pages * rate))
+    measured = {}
+    for policy in PAPER_CELLS[(app, rate)]:
+        metrics = run_level(trace.pages, policy, capacity, 1,
+                            workload_name=trace.name).metrics
+        measured[policy] = (metrics["cycles"], metrics["driver"]["faults"])
+    assert measured == PAPER_CELLS[(app, rate)]
+    hpe_cycles, hpe_faults = measured["hpe"]
+    for worse in PAPER_ORDERINGS[(app, rate)]:
+        cycles, faults = measured[worse]
+        assert hpe_cycles < cycles, (app, rate, worse, "cycles")
+        assert hpe_faults < faults, (app, rate, worse, "faults")

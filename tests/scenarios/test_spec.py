@@ -212,7 +212,7 @@ class TestMatrixSpec:
 
 
 class TestFastpathField:
-    """The requested simulator tier in the identity (relaxed only)."""
+    """The requested simulator tier: validated, never in the identity."""
 
     def test_bit_exact_tiers_share_one_identity(self):
         base = ScenarioSpec(workload="BFS", policy="lru", rate=0.75)
@@ -221,16 +221,8 @@ class TestFastpathField:
                                   fastpath=level)
             assert pinned.digest() == base.digest(), level
 
-    def test_relaxed_tier_hashes_differently(self):
-        base = ScenarioSpec(workload="BFS", policy="lru", rate=0.75)
-        relaxed = ScenarioSpec(workload="BFS", policy="lru", rate=0.75,
-                               fastpath=3)
-        assert relaxed.digest() != base.digest()
-        assert "fastpath=3" in relaxed.canonical()
-        assert "fastpath" not in base.canonical()
-
     def test_out_of_range_tier_rejected(self):
-        for bad in (-1, 4, 99):
+        for bad in (-1, 3, 4, 99):
             with pytest.raises(ScenarioError, match="fastpath"):
                 ScenarioSpec(workload="BFS", policy="lru", rate=0.75,
                              fastpath=bad)
@@ -238,16 +230,16 @@ class TestFastpathField:
     def test_from_dict_accepts_fastpath(self):
         spec = ScenarioSpec.from_dict({
             "workload": "BFS", "policy": "lru", "rate": 0.75,
-            "fastpath": 3,
+            "fastpath": 0,
         })
-        assert spec.fastpath == 3
-        assert spec.describe()["fastpath"] == 3
+        assert spec.fastpath == 0
+        assert spec.describe()["fastpath"] == 0
 
     def test_run_spec_threads_the_tier_to_the_engine(self):
         from repro.experiments.runner import run_spec
 
         spec = ScenarioSpec(workload="STN", policy="lru", rate=0.75,
-                            scale=0.25, fastpath=3)
+                            scale=0.25, fastpath=0)
         result = run_spec(spec, use_cache=False)
-        assert result.extras["fastpath"]["requested"] == 3
-        assert result.extras["fastpath"]["executed"] == 3
+        assert result.extras["fastpath"]["requested"] == 0
+        assert result.extras["fastpath"]["executed"] == 0

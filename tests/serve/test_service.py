@@ -365,9 +365,10 @@ class TestSummarize:
 
 
 class TestRelaxedTierRejection:
-    """Cell submissions must not smuggle in metric-equivalent tiers."""
+    """Cell submissions accept only the spec's tiers 0-2."""
 
     def test_relaxed_fastpath_cell_is_rejected(self):
+        """A tier outside 0-2 fails spec validation: 400 invalid_spec."""
         service = make_service(StubRunner())
         try:
             code, body = service.submit(
@@ -375,12 +376,12 @@ class TestRelaxedTierRejection:
             )
             assert code == 400
             assert body["error"] == "invalid_spec"
-            assert "relaxed" in body["message"]
+            assert "fastpath" in body["message"]
         finally:
             service.drain()
 
     def test_bit_exact_fastpath_cell_is_normalised_away(self):
-        """Tiers 0-2 are bit-identical, so pinning one is accepted and
+        """The tiers are bit-identical, so pinning one is accepted and
         folds into the same grid identity as an unpinned cell."""
         service = make_service(StubRunner())
         try:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.ideal import IdealPolicy
 from repro.policies.lru import LRUPolicy
-from repro.sim.config import GPUConfig
+from repro.sim.config import GPUConfig, resolve_fastpath_level
 from repro.sim.engine import UVMSimulator, simulate
 from repro.tlb.tlb import TLBConfig
 
@@ -193,6 +193,42 @@ class TestFastPathEquivalence:
     def test_property_identical(self, trace, capacity):
         fast, reference = _run_both_paths(trace, LRUPolicy, capacity)
         assert fast.key_metrics() == reference.key_metrics()
+
+
+class TestFastpathResolution:
+    """Env and explicit tier requests share one clamp into [0, 2]."""
+
+    def test_explicit_level_clamps_into_range(self):
+        assert resolve_fastpath_level(0) == 0
+        assert resolve_fastpath_level(1) == 1
+        # 2 numbered the retired batch kernel: an alias of tier 1.
+        assert resolve_fastpath_level(2) == 1
+        assert resolve_fastpath_level(3) == 1
+        assert resolve_fastpath_level(7) == 1
+        assert resolve_fastpath_level(-2) == 0
+
+    def test_bools_select_default_or_reference(self):
+        assert resolve_fastpath_level(True) == 1
+        assert resolve_fastpath_level(False) == 0
+
+    @pytest.mark.parametrize("raw,level", [
+        ("", 1), ("0", 0), ("1", 1), ("2", 1), ("3", 1), ("7", 1),
+        ("-2", 0), ("junk", 1),
+    ])
+    def test_env_var_clamps_like_explicit_levels(self, monkeypatch, raw,
+                                                 level):
+        monkeypatch.setenv("REPRO_SIM_FASTPATH", raw)
+        assert resolve_fastpath_level(None) == level
+
+    def test_run_records_the_requested_tier_as_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_FASTPATH", "3")
+        trace = [x % 24 for x in range(300)]
+        result = UVMSimulator(LRUPolicy(), 12, small_config()).run(trace)
+        assert result.extras["fastpath"] == {"requested": 1, "executed": 1}
+        result = UVMSimulator(LRUPolicy(), 12, small_config()).run(
+            trace, fast=0
+        )
+        assert result.extras["fastpath"] == {"requested": 0, "executed": 0}
 
 
 class TestPrefetchIntegration:

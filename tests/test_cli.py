@@ -58,6 +58,34 @@ class TestMain:
         assert "comparisons" in capsys.readouterr().out
 
 
+class TestDiffCommand:
+    def test_small_slice_is_bit_identical(self, capsys):
+        assert main(["diff", "--seeds", "5", "--length", "256",
+                     "--generators", "strided",
+                     "--policies", "lru,hpe"]) == 0
+        out = capsys.readouterr().out
+        assert "4 cells: ok" in out
+        assert "bit-identical" in out
+
+    def test_unknown_policy_exits_2(self, capsys):
+        assert main(["diff", "--policies", "lru,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown policy 'bogus'" in err
+        assert "hpe" in err  # the known policies are listed
+
+    def test_non_integer_seed_exits_2(self, capsys):
+        assert main(["diff", "--seeds", "5,x"]) == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_retired_tier3_flags_are_rejected(self):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["diff", "--relaxed"])
+        for flag in (["--skip-trends"], ["--trend-dir", "x"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["golden", *flag])
+
+
 class TestCacheCommand:
     def test_info_reports_location(self, capsys):
         assert main(["cache", "info"]) == 0

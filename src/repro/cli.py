@@ -110,7 +110,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-job wall-clock timeout for matrix "
-                             "workers (same as REPRO_TIMEOUT)")
+                             "cells; 0 disables (same as "
+                             "REPRO_WORKER_TIMEOUT)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="extra attempts per failed matrix job "
                              "(same as REPRO_RETRIES)")
@@ -423,16 +424,15 @@ def _apply_runtime_flags(args: argparse.Namespace) -> None:
 
         resil_chaos.ChaosSpec.parse(args.chaos)  # fail fast on bad specs
         os.environ[resil_chaos.ENV_CHAOS] = args.chaos
-    timeout = getattr(args, "timeout", None)
-    if timeout is not None:
-        from repro.resil import supervisor as resil_supervisor
+    from repro.resil.settings import KNOBS
 
-        os.environ[resil_supervisor.ENV_TIMEOUT] = str(timeout)
-    retries = getattr(args, "retries", None)
-    if retries is not None:
-        from repro.resil import supervisor as resil_supervisor
-
-        os.environ[resil_supervisor.ENV_RETRIES] = str(retries)
+    knob_env = {knob.name: knob.env for knob in KNOBS}
+    for knob_name, value in (
+        ("worker_timeout", getattr(args, "timeout", None)),
+        ("retries", getattr(args, "retries", None)),
+    ):
+        if value is not None:
+            os.environ[knob_env[knob_name]] = str(value)
     fastpath = getattr(args, "fastpath", None)
     if fastpath is not None:
         from repro.sim.config import FASTPATH_ENV

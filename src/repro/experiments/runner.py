@@ -15,7 +15,6 @@ import os
 import signal
 import sys
 import threading
-import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from repro.obs import MetricsRegistry, Observation
 from repro.resil import (
     ChaosSpec,
     JobFailure,
+    JobOutcome,
     MatrixInterrupted,
     RunJournal,
     SupervisorInterrupted,
@@ -35,7 +35,6 @@ from repro.resil import (
 )
 from repro.resil import chaos as resil_chaos
 from repro.resil import journal as resil_journal
-from repro.resil import supervisor as resil_supervisor
 from repro.scenarios.spec import (
     DEFAULT_SEED,
     PAPER_FAMILY,
@@ -390,7 +389,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count for :func:`run_matrix`.
 
     ``None`` defers to the ``REPRO_JOBS`` environment variable (default
-    1, i.e. serial); ``0`` or a negative value means one worker per CPU.
+    1, i.e. in process); ``0`` or a negative value means one worker per
+    CPU.
     """
     if jobs is None:
         raw = os.environ.get(ENV_JOBS, "").strip()
@@ -429,8 +429,9 @@ def _attach_shared_traces(handle) -> None:
 
 
 def _run_job(job: tuple) -> SimulationResult:
-    """Pool entry point: one scenario-cell simulation.
+    """Supervisor entry point: one scenario-cell simulation.
 
+    Runs in a worker process, or in this process when ``jobs=1``.
     Lives at module level so it pickles under any multiprocessing start
     method.  Only the frozen :class:`ScenarioSpec` and (optionally) a
     shared-memory trace store handle cross the process boundary inbound
@@ -482,66 +483,6 @@ class _MatrixSigTerm(BaseException):
     """Internal: SIGTERM converted to an exception for clean shutdown."""
 
 
-class _SerialCellTimeout(Exception):
-    """Internal: a serial (jobs=1) cell ran past its wall-clock budget."""
-
-
-class _SerialDeadline:
-    """SIGALRM-based wall-clock enforcement for serial cells.
-
-    ``jobs=1`` runs in-process, so there is no worker to kill — but an
-    interval timer can still interrupt a runaway cell.  Armed around
-    each attempt; disarmed (and the previous handler restored) the
-    moment the attempt finishes, so the alarm can never fire inside
-    journaling or cache writes.  Enforcement is skipped — exactly as
-    documented for ``REPRO_WORKER_TIMEOUT=0`` — when the timeout is 0,
-    off the main thread, or the platform lacks ``setitimer``.
-    """
-
-    def __init__(self, timeout: float) -> None:
-        self.timeout = timeout
-
-    @property
-    def enforcing(self) -> bool:
-        return (
-            self.timeout > 0
-            and hasattr(signal, "setitimer")
-            and threading.current_thread() is threading.main_thread()
-        )
-
-    def __enter__(self) -> "_SerialDeadline":
-        if not self.enforcing:
-            return self
-
-        def handler(_signum: int, _frame: object) -> None:
-            raise _SerialCellTimeout()
-
-        self._previous = signal.signal(signal.SIGALRM, handler)
-        signal.setitimer(signal.ITIMER_REAL, self.timeout)
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        if not self.enforcing:
-            return
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, self._previous)
-
-
-def _chaos_serial_raise(action: str, key: str, attempt: int) -> None:
-    """Serial-mode chaos: raise the stand-in exception for ``action``."""
-    if action == "crash":
-        raise resil_chaos.ChaosCrashError(
-            f"injected crash for {key} (attempt {attempt})"
-        )
-    if action == "hang":
-        raise resil_chaos.ChaosHangError(
-            f"injected hang for {key} (attempt {attempt})"
-        )
-    raise resil_chaos.ChaosTransientError(
-        f"injected transient failure for {key} (attempt {attempt})"
-    )
-
-
 def run_matrix(
     policies: Sequence[str],
     rates: Sequence[float] = PAPER_RATES,
@@ -566,22 +507,21 @@ def run_matrix(
     legacy signature and an explicit spec produce identical run ids,
     journals, and cache digests by construction.
 
-    With ``jobs > 1`` the (rate × app × policy) runs fan out over a
-    supervised worker pool (:class:`~repro.resil.WorkerSupervisor`):
-    each job gets a wall-clock ``timeout`` and up to ``retries`` extra
-    attempts with exponential backoff, a crashed or hung worker costs
-    one retry (never the matrix), and results are folded in the same
-    deterministic order the serial path produces.  Workers build traces
-    locally (traces are never pickled across the boundary).  ``jobs=1``
-    runs serially in this process with the same retry discipline; the
-    wall-clock timeout is enforced there too via a SIGALRM interval
-    timer (``REPRO_WORKER_TIMEOUT=0`` disables enforcement on every
-    path — the documented escape hatch for debugging a slow cell).
+    Every (rate × app × policy) run goes through a
+    :class:`~repro.resil.WorkerSupervisor`: each job gets a wall-clock
+    ``timeout`` and up to ``retries`` extra attempts with exponential
+    backoff, a crash or hang costs one retry (never the matrix), and
+    results are folded in deterministic key order whatever the job
+    count.  ``jobs > 1`` runs the cells on that many worker processes
+    (traces are never pickled across the boundary); ``jobs=1`` runs
+    them in this process, where a SIGALRM interval timer enforces the
+    timeout (``REPRO_WORKER_TIMEOUT=0`` disables enforcement for both —
+    the documented escape hatch for debugging a slow cell).
 
     When the persistent cache is on (and the run is not observed), every
     completion is recorded in an append-only run journal keyed by the
     cache digest; an interrupted run — ``KeyboardInterrupt``, SIGTERM,
-    or an injected chaos interrupt — shuts down cleanly (pool
+    or an injected chaos interrupt — shuts down cleanly (workers
     terminated, journal and metrics flushed) and raises
     :class:`~repro.resil.MatrixInterrupted`; re-running the same spec
     (or ``hpe-repro resume <run-id>``) picks up from the completed jobs
@@ -638,7 +578,7 @@ def run_scenario(
     cell_specs = dict(zip(keys, cells))
     matrix = ResultMatrix()
     if not keys:
-        # No work: return the empty matrix before any pool is sized.
+        # No work: return the empty matrix before any supervisor exists.
         return matrix
     jobs = resolve_jobs(jobs)
     observing = obs_module.enabled()
@@ -679,7 +619,7 @@ def run_scenario(
         )
 
     # Terminal-outcome tallies, updated as outcomes land (the matrix
-    # itself is only folded after a supervised run finishes, so it
+    # itself is only folded after the supervisor finishes, so it
     # undercounts at interrupt time).
     counts = {"done": 0, "failed": 0}
 
@@ -691,17 +631,6 @@ def run_scenario(
                 app=key.app, policy=key.policy, rate=key.rate,
                 digest=digests[key], cached=caching,
                 attempts=attempts, elapsed=round(elapsed, 6),
-            )
-
-    def journal_failed(key: RunKey, failure: JobFailure) -> None:
-        counts["failed"] += 1
-        if run_journal is not None:
-            run_journal.append(
-                "job_failed",
-                app=key.app, policy=key.policy, rate=key.rate,
-                digest=digests[key], error=failure.error_type,
-                message=failure.message[:500], attempts=failure.attempts,
-                elapsed=round(failure.elapsed, 6),
             )
 
     def finalize(interrupted: bool) -> None:
@@ -722,9 +651,9 @@ def run_scenario(
         run_journal.close()
 
     # Resume/warm path: serve any already-cached cell without touching
-    # the pool.  This is what makes an interrupted run resumable — the
-    # journal records completions by cache digest, and the cache serves
-    # them bit-identically on the next invocation of the same spec.
+    # the supervisor.  This is what makes an interrupted run resumable —
+    # the journal records completions by cache digest, and the cache
+    # serves them bit-identically on the next invocation of the spec.
     remaining: list[RunKey] = []
     for key in keys:
         cached_result = (
@@ -739,6 +668,26 @@ def run_scenario(
     if not remaining:
         finalize(interrupted=False)
         return matrix
+
+    job_keys = {key: f"{key.app}|{key.policy}|{key.rate!r}" for key in remaining}
+    by_job_key = {job_key: key for key, job_key in job_keys.items()}
+
+    def on_outcome(outcome: JobOutcome) -> None:
+        key = by_job_key[outcome.key]
+        note(key)
+        failure = outcome.failure
+        if failure is None:
+            journal_done(key, attempts=outcome.attempts, elapsed=outcome.elapsed)
+            return
+        counts["failed"] += 1
+        if run_journal is not None:
+            run_journal.append(
+                "job_failed",
+                app=key.app, policy=key.policy, rate=key.rate,
+                digest=digests[key], error=failure.error_type,
+                message=failure.message[:500], attempts=failure.attempts,
+                elapsed=round(failure.elapsed, 6),
+            )
 
     def install_sigterm() -> Optional[object]:
         def handler(_signum: int, _frame: object) -> None:
@@ -757,142 +706,70 @@ def run_scenario(
             except (ValueError, OSError, TypeError):
                 pass
 
+    # The supervisor picks its executor from ``jobs``: in this process
+    # for 1, worker processes for more — even when a single cell
+    # remains, since only a process can be killed when a cell hangs in
+    # C code.
+    supervisor = WorkerSupervisor(
+        _run_job, jobs,
+        timeout=timeout, retries=retries, backoff=backoff,
+        chaos=chaos_spec,
+    )
+    trace_store = None
     previous_handler = install_sigterm()
     try:
-        # jobs > 1 always takes the supervised path — even for a single
-        # remaining cell (e.g. a resume with one missing job) — because
-        # the supervisor enforces the wall-clock timeout by killing the
-        # worker; the serial path enforces it with SIGALRM, which can
-        # interrupt a runaway cell but not reclaim one stuck in C code.
-        if jobs == 1:
-            _run_serial(
-                matrix, remaining, cell_specs,
-                chaos_spec=chaos_spec,
-                timeout=resil_supervisor.resolve_timeout(timeout),
-                retries=resil_supervisor.resolve_retries(retries),
-                backoff=resil_supervisor.resolve_backoff(backoff),
-                note=note, journal_done=journal_done,
-                journal_failed=journal_failed,
+        if jobs > 1:
+            trace_store = _share_traces(
+                remaining, seed=spec.seed, scale=spec.scale,
+                start_method=supervisor.start_method,
             )
-        else:
-            _run_supervised(
-                matrix, remaining, cell_specs,
-                observing=observing,
-                jobs=jobs, timeout=timeout, retries=retries,
-                backoff=backoff, chaos_spec=chaos_spec,
-                seed=spec.seed, scale=spec.scale,
-                note=note, journal_done=journal_done,
-                journal_failed=journal_failed,
-            )
+        handle = trace_store.handle if trace_store is not None else None
+        # The observe flag travels in the payload: a spawn-context worker
+        # re-imports the world and loses any configure(enabled=True) made
+        # by the CLI in this process.
+        outcomes = supervisor.run(
+            [
+                (job_keys[key], (cell_specs[key], observing, handle))
+                for key in remaining
+            ],
+            on_outcome=on_outcome,
+        )
     except (KeyboardInterrupt, SupervisorInterrupted, _MatrixSigTerm) as exc:
-        # Clean shutdown: the pool is already terminated (supervisor
-        # shuts down in its finally), the journal gets its interruption
-        # record and fsync, and the caller gets a typed, resumable error.
+        # Clean shutdown: any workers are already terminated (the
+        # supervisor shuts down in its finally), the journal gets its
+        # interruption record and fsync, and the caller gets a typed,
+        # resumable error.
         finalize(interrupted=True)
         done = counts["done"] + counts["failed"]
         raise MatrixInterrupted(run_id, done, len(keys) - done) from exc
     finally:
         restore_sigterm(previous_handler)
+        if trace_store is not None:
+            trace_store.close()
+            trace_store.unlink()
 
-    _fold_resil_metrics(matrix)
+    for key in remaining:
+        outcome = outcomes[job_keys[key]]
+        if outcome.failure is None:
+            matrix.put(key, outcome.result)
+        else:
+            matrix.record_failure(key, outcome.failure)
+    # Gauges only when there is something to report: a clean, unobserved
+    # matrix keeps its metrics registry empty (the obs contract).
+    stats = supervisor.stats
+    for name, value in (
+        ("resil.retries", stats.retries),
+        ("resil.crashes", stats.crashes),
+        ("resil.timeouts", stats.timeouts),
+        ("resil.transient_errors", stats.transient_errors),
+    ):
+        if value:
+            matrix.metrics.set_gauge(name, value)
+    if matrix.failures:
+        matrix.metrics.set_gauge("resil.degraded_cells", len(matrix.failures))
+        matrix.metrics.set_gauge("resil.completed_cells", len(matrix.results))
     finalize(interrupted=False)
     return matrix
-
-
-def _run_serial(
-    matrix: ResultMatrix,
-    keys: Sequence[RunKey],
-    cell_specs: dict[RunKey, ScenarioSpec],
-    *,
-    chaos_spec: Optional[ChaosSpec],
-    timeout: float,
-    retries: int,
-    backoff: float,
-    note,
-    journal_done,
-    journal_failed,
-) -> None:
-    """Serial execution with the same retry/chaos discipline as the pool.
-
-    Chaos crash/hang actions degrade to in-process exceptions
-    (:class:`~repro.resil.ChaosCrashError` / ``ChaosHangError``) so
-    every failure mode stays testable without subprocesses.  The
-    per-cell wall-clock ``timeout`` is enforced too — via a SIGALRM
-    interval timer (:class:`_SerialDeadline`) rather than a process
-    kill — so a single runaway cell can no longer wedge a serial run;
-    ``REPRO_WORKER_TIMEOUT=0`` is the documented escape hatch.
-    """
-    previous_spec = resil_chaos.active_spec()
-    if chaos_spec is not None:
-        resil_chaos.activate(chaos_spec)
-    completions = 0
-    total_retries = 0
-    try:
-        for key in keys:
-            note(key)
-            job_key = f"{key.app}|{key.policy}|{key.rate!r}"
-            started = time.monotonic()
-            attempt = 1
-            while True:
-                try:
-                    with _SerialDeadline(timeout):
-                        if chaos_spec is not None:
-                            action = chaos_spec.worker_action(
-                                job_key, attempt
-                            )
-                            if action is not None:
-                                _chaos_serial_raise(action, job_key, attempt)
-                        result = run_spec(cell_specs[key])
-                except Exception as exc:  # noqa: BLE001 — degraded, not hidden
-                    if attempt <= retries:
-                        total_retries += 1
-                        delay = resil_supervisor.backoff_delay(
-                            backoff, job_key, attempt
-                        )
-                        attempt += 1
-                        if delay:
-                            time.sleep(min(delay, 5.0))
-                        continue
-                    elapsed = time.monotonic() - started
-                    if isinstance(exc, _SerialCellTimeout):
-                        # Match the supervised path's failure identity.
-                        error_type = "JobTimeout"
-                        message = (
-                            f"no result within {timeout:.1f}s "
-                            "(serial in-process deadline)"
-                        )
-                    else:
-                        error_type = type(exc).__name__
-                        message = str(exc)
-                    failure = JobFailure(
-                        key=job_key,
-                        error_type=error_type,
-                        message=message,
-                        attempts=attempt,
-                        elapsed=elapsed,
-                    )
-                    matrix.record_failure(key, failure)
-                    journal_failed(key, failure)
-                    break
-                else:
-                    matrix.put(key, result)
-                    journal_done(
-                        key, attempts=attempt,
-                        elapsed=time.monotonic() - started,
-                    )
-                    break
-            completions += 1
-            if chaos_spec is not None and chaos_spec.should_interrupt(
-                completions
-            ):
-                raise SupervisorInterrupted(
-                    f"chaos sigterm after {completions} completion(s)"
-                )
-    finally:
-        if total_retries:
-            matrix.metrics.set_gauge("resil.retries", total_retries)
-        if chaos_spec is not None:
-            resil_chaos.activate(previous_spec)
 
 
 def _share_traces(
@@ -902,7 +779,7 @@ def _share_traces(
     them to the workers; ``None`` when disabled or nothing was published.
 
     The parent pays one build (or disk load) per application — which it
-    would pay anyway for any serial cell.  Workers created by ``fork``
+    would pay anyway for any in-process cell.  Workers created by ``fork``
     inherit the parent's warmed trace cache, so every trace they ask
     for is an in-memory hit and nothing is published for them: a
     segment would only start multiprocessing's resource tracker, whose
@@ -925,97 +802,6 @@ def _share_traces(
     from repro.workloads.trace_io import TraceStore
 
     return TraceStore.publish(traces)
-
-
-def _run_supervised(
-    matrix: ResultMatrix,
-    keys: Sequence[RunKey],
-    cell_specs: dict[RunKey, ScenarioSpec],
-    *,
-    observing: bool,
-    jobs: int,
-    timeout: Optional[float],
-    retries: Optional[int],
-    backoff: Optional[float],
-    chaos_spec: Optional[ChaosSpec],
-    seed: int,
-    scale: float,
-    note=None,
-    journal_done=None,
-    journal_failed=None,
-) -> None:
-    """Fan ``keys`` out over a supervised worker pool and fold results.
-
-    Outcomes are journaled as they land (so an interrupt loses nothing)
-    but folded into the matrix in deterministic key order, keeping the
-    parallel path bit-identical to the serial one.
-    """
-    supervisor = WorkerSupervisor(
-        _run_job, min(jobs, len(keys)),
-        timeout=timeout, retries=retries, backoff=backoff, chaos=chaos_spec,
-    )
-    trace_store = _share_traces(
-        keys, seed=seed, scale=scale, start_method=supervisor.start_method
-    )
-    trace_handle = trace_store.handle if trace_store is not None else None
-    # The observe flag travels in the payload: a spawn-context worker
-    # re-imports the world and loses any configure(enabled=True) made by
-    # the CLI in this process.
-    job_keys = {key: f"{key.app}|{key.policy}|{key.rate!r}" for key in keys}
-    by_job_key = {job_keys[key]: key for key in keys}
-    items = [
-        (
-            job_keys[key],
-            (cell_specs[key], observing, trace_handle),
-        )
-        for key in keys
-    ]
-
-    def on_outcome(outcome) -> None:
-        key = by_job_key[outcome.key]
-        if outcome.ok:
-            journal_done(key, attempts=outcome.attempts,
-                         elapsed=outcome.elapsed)
-        else:
-            journal_failed(key, outcome.failure)
-
-    try:
-        outcomes = supervisor.run(items, on_outcome=on_outcome)
-    finally:
-        if trace_store is not None:
-            trace_store.close()
-            trace_store.unlink()
-    # Gauges only when there is something to report: a clean, unobserved
-    # matrix keeps its metrics registry empty (the obs contract).
-    stat_gauges = {
-        "resil.retries": supervisor.stats.retries,
-        "resil.crashes": supervisor.stats.crashes,
-        "resil.timeouts": supervisor.stats.timeouts,
-        "resil.transient_errors": supervisor.stats.transient_errors,
-    }
-    for name, value in stat_gauges.items():
-        if value:
-            matrix.metrics.set_gauge(name, value)
-    for key in keys:
-        outcome = outcomes.get(job_keys[key])
-        if outcome is None:
-            continue
-        note(key)
-        if outcome.ok:
-            matrix.put(key, outcome.result)
-        else:
-            matrix.record_failure(key, outcome.failure)
-
-
-def _fold_resil_metrics(matrix: ResultMatrix) -> None:
-    """Degradation counters every consumer can read off the matrix.
-
-    Only emitted for a degraded matrix — a clean, unobserved run keeps
-    its metrics registry empty (the obs contract).
-    """
-    if matrix.failures:
-        matrix.metrics.set_gauge("resil.degraded_cells", len(matrix.failures))
-        matrix.metrics.set_gauge("resil.completed_cells", len(matrix.results))
 
 
 #: Call sites that already warned about dropped mean inputs, keyed by

@@ -36,11 +36,8 @@ from repro.resil.atomic import (
 from repro.resil.chaos import (
     CHAOS_CRASH_EXIT,
     ENV_CHAOS,
-    ChaosCrashError,
-    ChaosHangError,
     ChaosSpec,
     ChaosSpecError,
-    ChaosTransientError,
 )
 from repro.resil.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -51,21 +48,11 @@ from repro.resil.journal import (
 from repro.resil.settings import KNOBS, ResilSettings
 from repro.resil.settings import resolve as resolve_settings
 from repro.resil.supervisor import (
-    DEFAULT_BACKOFF_S,
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT_S,
-    ENV_BACKOFF,
-    ENV_RETRIES,
-    ENV_TIMEOUT,
-    ENV_WORKER_TIMEOUT,
     JobFailure,
     JobOutcome,
     SupervisorInterrupted,
     WorkerSupervisor,
     compact_tail,
-    resolve_backoff,
-    resolve_retries,
-    resolve_timeout,
 )
 
 #: Exit status of a matrix run stopped by SIGTERM/``KeyboardInterrupt``
@@ -103,23 +90,13 @@ def journal_enabled() -> bool:
 
 __all__ = [
     "CHAOS_CRASH_EXIT",
-    "DEFAULT_BACKOFF_S",
-    "DEFAULT_RETRIES",
-    "DEFAULT_TIMEOUT_S",
-    "ENV_BACKOFF",
     "ENV_CHAOS",
     "ENV_JOURNAL",
-    "ENV_RETRIES",
-    "ENV_TIMEOUT",
-    "ENV_WORKER_TIMEOUT",
     "EXIT_INTERRUPTED",
     "KNOBS",
     "ResilSettings",
-    "ChaosCrashError",
-    "ChaosHangError",
     "ChaosSpec",
     "ChaosSpecError",
-    "ChaosTransientError",
     "JOURNAL_SCHEMA_VERSION",
     "JobFailure",
     "JobOutcome",
@@ -138,9 +115,6 @@ __all__ = [
     "is_framed",
     "journal_enabled",
     "replace_into",
-    "resolve_backoff",
-    "resolve_retries",
     "resolve_settings",
-    "resolve_timeout",
     "unframe_payload",
 ]

@@ -14,12 +14,14 @@ A comma-separated list of ``kind=value`` (``kind:value`` also accepted)::
 
 ========  ===========================================================
 ``seed``  integer folded into every decision hash (default 0)
-``crash``  probability a worker attempt dies without returning
-           (``os._exit``; serial mode raises :class:`ChaosCrashError`)
-``hang``   probability a worker attempt sleeps past its wall-clock
-           timeout (serial mode raises :class:`ChaosHangError`)
-``flaky``  probability a worker attempt raises a transient
-           :class:`ChaosTransientError`
+``crash``  probability an attempt's worker dies without returning
+           (``os._exit``); fails the attempt as ``WorkerCrash``
+           (in-process ``jobs=1`` attempts answer that directly)
+``hang``   probability an attempt's worker sleeps past its wall-clock
+           timeout; fails the attempt as ``JobTimeout`` (answered
+           directly in process)
+``flaky``  probability an attempt fails with the transient
+           ``ChaosTransientError`` (a failure identity, not a class)
 ``torn``   probability a result-cache write is torn (truncated) —
            detected later by the checksum frame and treated as a miss
 ``sigterm`` interrupt the supervising process after this many job
@@ -57,18 +59,6 @@ _ACTIONS = ("crash", "hang", "flaky")
 
 class ChaosSpecError(ValueError):
     """The chaos spec text does not follow the grammar."""
-
-
-class ChaosTransientError(RuntimeError):
-    """Injected transient failure — succeeds on a (re-rolled) retry."""
-
-
-class ChaosCrashError(RuntimeError):
-    """Serial-mode stand-in for a worker process crash."""
-
-
-class ChaosHangError(RuntimeError):
-    """Serial-mode stand-in for a hung worker hitting its timeout."""
 
 
 def _roll(seed: int, kind: str, key: str, attempt: int) -> float:

@@ -14,9 +14,10 @@ Knob semantics
 --------------
 ``worker_timeout``
     Per-job wall-clock budget in seconds.  ``REPRO_WORKER_TIMEOUT``
-    (preferred) or the legacy ``REPRO_TIMEOUT``.  **``0`` disables
-    enforcement** — the documented escape hatch for debugging a
-    genuinely slow cell — on both the supervised and the serial path.
+    (preferred; ``--timeout`` writes it) or the legacy
+    ``REPRO_TIMEOUT``.  **``0`` disables enforcement** — the documented
+    escape hatch for debugging a genuinely slow cell — for worker
+    processes and the in-process (``jobs=1``) executor alike.
     (The legacy variable keeps its historical "non-positive means
     default" reading; only ``REPRO_WORKER_TIMEOUT`` can express 0.)
 ``retries`` / ``backoff``
@@ -43,8 +44,10 @@ Knob semantics
     Seconds a draining server waits for in-flight requests after
     SIGTERM/SIGINT before exiting with status 75 (``EX_TEMPFAIL``).
 ``serve_jobs``
-    Worker processes per request evaluation.  Clamped to >= 2 so the
-    service always takes the supervised (timeout-enforced) pool path.
+    Worker processes per request evaluation.  Clamped to >= 2 so every
+    evaluation runs in worker processes: a crash stays in the worker,
+    and the service evaluates on executor threads, where the SIGALRM
+    deadline of the in-process (``jobs=1``) executor cannot fire.
 ``read_timeout``
     Seconds the HTTP layer waits for a slow client's request before
     answering 408 and closing (abandoned-connection protection).
@@ -123,8 +126,9 @@ KNOBS: tuple[Knob, ...] = (
          "seconds a draining server waits for in-flight requests "
          "after SIGTERM/SIGINT"),
     Knob("serve_jobs", "REPRO_SERVE_JOBS", 2, "int", False,
-         "worker processes per request evaluation (clamped to >= 2 so "
-         "the supervised, timeout-enforced pool path is always taken)"),
+         "worker processes per request evaluation (clamped to >= 2: "
+         "a crash stays in a worker, and SIGALRM cannot fire on the "
+         "service's executor threads)"),
     Knob("read_timeout", "REPRO_READ_TIMEOUT", 10.0, "float", False,
          "seconds the HTTP layer waits for a slow client request "
          "before answering 408"),

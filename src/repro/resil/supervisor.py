@@ -1,4 +1,4 @@
-"""Supervised worker pool: timeouts, retries, crash isolation, watchdog.
+"""Supervised job execution: timeouts, retries, crash isolation, watchdog.
 
 ``multiprocessing.Pool`` is the wrong tool for a long experiment matrix:
 a worker that dies without returning leaves ``imap`` waiting forever, a
@@ -24,6 +24,18 @@ processes and assigns jobs to them individually, so it always knows
 
 Workers are persistent (they keep their in-process trace caches warm
 across jobs) and are respawned on demand after a crash or kill.
+
+With ``jobs=1`` the supervisor runs each attempt in the calling process
+instead, under a SIGALRM wall-clock deadline; an injected chaos
+``crash`` or ``hang`` answers ``WorkerCrash`` or ``JobTimeout`` there
+directly, since there is no process to lose.  Both executors answer an
+attempt the way the worker pipe does — ``("ok", result)`` or
+``("error", type, message)`` — and settle it through one path
+(:meth:`WorkerSupervisor._settle`) that owns retry, backoff, the failure
+identity, the :class:`SupervisorStats` counters and the chaos
+``sigterm`` budget.  Any ``jobs > 1`` keeps worker processes even for a
+single job, because only a process can be killed while a job hangs in
+C code.
 """
 
 from __future__ import annotations
@@ -31,8 +43,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import signal
 import sys
 import tempfile
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -44,19 +58,6 @@ from repro.resil.chaos import CHAOS_CRASH_EXIT, ChaosSpec
 from repro.resil import chaos as chaos_module
 from repro.resil import settings as resil_settings
 
-#: Per-job wall-clock timeout in seconds (``REPRO_WORKER_TIMEOUT``,
-#: legacy ``REPRO_TIMEOUT``; 0 disables enforcement).
-DEFAULT_TIMEOUT_S = 600.0
-#: Extra attempts after the first failure (``REPRO_RETRIES``).
-DEFAULT_RETRIES = 2
-#: Base backoff before a retry, doubled per attempt (``REPRO_BACKOFF``).
-DEFAULT_BACKOFF_S = 0.25
-
-ENV_TIMEOUT = "REPRO_TIMEOUT"
-ENV_WORKER_TIMEOUT = "REPRO_WORKER_TIMEOUT"
-ENV_RETRIES = "REPRO_RETRIES"
-ENV_BACKOFF = "REPRO_BACKOFF"
-
 #: How long a worker hang simulation sleeps (far past any sane timeout).
 _HANG_SLEEP_S = 86400.0
 
@@ -64,27 +65,18 @@ _HANG_SLEEP_S = 86400.0
 #: (``REPRO_STDERR_TAIL``; see :func:`compact_tail`).
 STDERR_TAIL_BYTES = 4096
 
+#: Failure identities of an attempt that stopped answering: its worker
+#: died or closed its pipe, or it ran past its deadline.
+_LOST = ("WorkerCrash", "JobTimeout")
 
-def resolve_timeout(timeout: Optional[float] = None) -> float:
-    """Per-job timeout: explicit value, env, then default (0 = disabled).
-
-    A thin adapter over :func:`repro.resil.settings.resolve` — the one
-    knob table — kept for the call sites and tests that predate it.
-    ``REPRO_WORKER_TIMEOUT=0`` (or an explicit ``timeout=0``) disables
-    wall-clock enforcement entirely; the legacy ``REPRO_TIMEOUT``
-    cannot express 0.
-    """
-    return resil_settings.resolve(worker_timeout=timeout).worker_timeout
-
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Retry budget: explicit value, then ``REPRO_RETRIES``, then default."""
-    return resil_settings.resolve(retries=retries).retries
-
-
-def resolve_backoff(backoff: Optional[float] = None) -> float:
-    """Backoff base: explicit value, then ``REPRO_BACKOFF``, then default."""
-    return resil_settings.resolve(backoff=backoff).backoff
+#: The failure identity each injected chaos action answers with.  In a
+#: worker process a crash or hang really happens and is observed as one
+#: of :data:`_LOST`; in process the attempt answers with it directly.
+_CHAOS_ERRORS = {
+    "crash": "WorkerCrash",
+    "hang": "JobTimeout",
+    "flaky": "ChaosTransientError",
+}
 
 
 def compact_tail(text: str, limit: int = STDERR_TAIL_BYTES) -> str:
@@ -195,6 +187,54 @@ class SupervisorInterrupted(RuntimeError):
     """Raised inside :meth:`WorkerSupervisor.run` on chaos SIGTERM."""
 
 
+class _DeadlineExpired(BaseException):
+    """An in-process attempt ran past its wall-clock budget."""
+
+
+def _expire(_signum: int, _frame: object) -> None:
+    raise _DeadlineExpired()
+
+
+class _AlarmDeadline:
+    """SIGALRM wall-clock budget for one in-process attempt.
+
+    Armed around the attempt and disarmed (the previous handler
+    restored) the moment it finishes, so the alarm never fires in the
+    retry bookkeeping or journaling that follow.  Not enforced when the
+    timeout is 0 (the documented escape hatch), off the main thread
+    (signal handlers only run there), or where the platform lacks
+    ``setitimer``.
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self.timeout = timeout
+        self.enforcing = (
+            timeout > 0
+            and hasattr(signal, "setitimer")
+            and threading.current_thread() is threading.main_thread()
+        )
+        self._previous: Any = None
+
+    def __enter__(self) -> "_AlarmDeadline":
+        if self.enforcing:
+            self._previous = signal.signal(signal.SIGALRM, _expire)
+            signal.setitimer(signal.ITIMER_REAL, self.timeout)
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        if self.enforcing:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, self._previous)
+
+
+def _injected(action: str, key: str, attempt: int) -> tuple:
+    """The answer an attempt gives for an injected chaos ``action``."""
+    return (
+        "error", _CHAOS_ERRORS[action],
+        f"injected {action} for {key} (attempt {attempt})",
+    )
+
+
 @dataclass
 class _Job:
     key: str
@@ -202,9 +242,6 @@ class _Job:
     attempt: int = 1
     not_before: float = 0.0
     started_first: float = 0.0
-    last_error: str = ""
-    last_message: str = ""
-    last_stderr: str = ""
 
 
 @dataclass
@@ -223,12 +260,17 @@ def _worker_main(
     stderr_path: str,
     chaos_text: str,
 ) -> None:
-    """Worker process loop: recv (key, payload, attempt) → send outcome.
+    """Worker process loop: recv (key, payload, attempt) → send answer.
 
     Runs until the parent sends ``None`` or closes the pipe.  stderr is
     redirected at the fd level so tracebacks and injected-crash notices
     from any layer (including C extensions) land in the capture file.
     """
+    # A forked worker inherits the parent's SIGTERM handler: the
+    # runner's clean-shutdown handler would turn ``terminate()`` into an
+    # exception this loop forwards and survives, and an event loop's
+    # wakeup fd would pass the signal on to the parent's loop.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         stream = open(stderr_path, "ab", buffering=0)
         os.dup2(stream.fileno(), 2)
@@ -247,47 +289,32 @@ def _worker_main(
         if message is None:
             return
         key, payload, attempt = message
-        if spec is not None:
-            action = spec.worker_action(key, attempt)
+        action = spec.worker_action(key, attempt) if spec is not None else None
+        if action in ("crash", "hang"):
+            print(
+                f"chaos: injected {action} for {key} (attempt {attempt})",
+                file=sys.stderr, flush=True,
+            )
             if action == "crash":
-                print(
-                    f"chaos: injected crash for {key} (attempt {attempt})",
-                    file=sys.stderr, flush=True,
-                )
                 os._exit(CHAOS_CRASH_EXIT)
-            if action == "hang":
-                print(
-                    f"chaos: injected hang for {key} (attempt {attempt})",
-                    file=sys.stderr, flush=True,
-                )
-                time.sleep(_HANG_SLEEP_S)
-            if action == "flaky":
-                try:
-                    conn.send((
-                        "error", "ChaosTransientError",
-                        f"injected transient failure (attempt {attempt})",
-                    ))
-                except (OSError, ValueError):
-                    os._exit(1)
-                continue
-        try:
-            result = worker_fn(payload)
-        except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-            traceback.print_exc()
-            try:
-                conn.send(("error", type(exc).__name__, str(exc)))
-            except (OSError, ValueError):
-                os._exit(1)
+            time.sleep(_HANG_SLEEP_S)
+        if action == "flaky":
+            answer = _injected("flaky", key, attempt)
         else:
             try:
-                conn.send(("ok", result))
-            except (OSError, ValueError):
+                answer = ("ok", worker_fn(payload))
+            except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
                 traceback.print_exc()
-                os._exit(1)
+                answer = ("error", type(exc).__name__, str(exc))
+        try:
+            conn.send(answer)
+        except (OSError, ValueError):
+            traceback.print_exc()
+            os._exit(1)
 
 
 class WorkerSupervisor:
-    """Run jobs through supervised persistent workers (see module doc)."""
+    """Run jobs to terminal outcomes under supervision (see module doc)."""
 
     def __init__(
         self,
@@ -412,48 +439,79 @@ class WorkerSupervisor:
             self._tmpdir.cleanup()
             self._tmpdir = None
 
-    # -- failure/retry bookkeeping -------------------------------------
+    # -- settling an attempt -------------------------------------------
 
-    def _record_failure(
+    def _settle(
         self,
         job: _Job,
+        answer: tuple,
+        stderr_tail: str,
         pending: list[_Job],
         outcomes: dict[str, JobOutcome],
-        error_type: str,
-        message: str,
-        stderr_tail: str,
-        now: float,
-    ) -> Optional[JobOutcome]:
-        """Retry ``job`` or mark it exhausted; return a terminal outcome."""
-        job.last_error = error_type
-        job.last_message = message
-        job.last_stderr = stderr_tail
-        if job.attempt <= self.retries:
-            self.stats.retries += 1
-            delay = backoff_delay(self.backoff, job.key, job.attempt)
-            job.attempt += 1
-            job.not_before = now + delay
-            pending.append(job)
-            return None
-        self.stats.exhausted += 1
+        on_outcome: Optional[Callable[[JobOutcome], None]],
+    ) -> None:
+        """Count one attempt's answer, then retry ``job`` or finish it.
+
+        A finished job is recorded in ``outcomes`` and handed to
+        ``on_outcome``; :class:`SupervisorInterrupted` follows once the
+        chaos ``sigterm`` budget of completions is spent.
+        """
+        now = time.monotonic()
         elapsed = now - job.started_first
-        outcome = JobOutcome(
-            key=job.key,
-            failure=JobFailure(
+        if answer[0] == "ok":
+            outcome = JobOutcome(
+                key=job.key, result=answer[1],
+                attempts=job.attempt, elapsed=elapsed,
+            )
+        else:
+            _tag, error_type, message = answer
+            if error_type == "WorkerCrash":
+                self.stats.crashes += 1
+            elif error_type == "JobTimeout":
+                self.stats.timeouts += 1
+            else:
+                self.stats.transient_errors += 1
+            if job.attempt <= self.retries:
+                self.stats.retries += 1
+                job.not_before = now + backoff_delay(
+                    self.backoff, job.key, job.attempt
+                )
+                job.attempt += 1
+                pending.append(job)
+                return
+            self.stats.exhausted += 1
+            outcome = JobOutcome(
                 key=job.key,
-                error_type=error_type,
-                message=message,
+                failure=JobFailure(
+                    key=job.key,
+                    error_type=error_type,
+                    message=message,
+                    attempts=job.attempt,
+                    elapsed=elapsed,
+                    stderr_tail=stderr_tail,
+                ),
                 attempts=job.attempt,
                 elapsed=elapsed,
-                stderr_tail=stderr_tail,
-            ),
-            attempts=job.attempt,
-            elapsed=elapsed,
-        )
+            )
         outcomes[job.key] = outcome
-        return outcome
+        self.stats.completed += 1
+        if on_outcome is not None:
+            on_outcome(outcome)
+        if self.chaos is not None and self.chaos.should_interrupt(
+            self.stats.completed
+        ):
+            raise SupervisorInterrupted(
+                f"chaos sigterm after {self.stats.completed} completion(s)"
+            )
 
-    # -- the supervision loop ------------------------------------------
+    def _next_pending(self, pending: list[_Job], now: float) -> Optional[_Job]:
+        """Pop the first runnable job (its backoff window has passed)."""
+        for index, job in enumerate(pending):
+            if job.not_before <= now:
+                return pending.pop(index)
+        return None
+
+    # -- the executors -------------------------------------------------
 
     def run(
         self,
@@ -462,16 +520,21 @@ class WorkerSupervisor:
     ) -> dict[str, JobOutcome]:
         """Run every (key, payload) to a terminal outcome.
 
-        ``on_outcome`` fires once per job as it reaches success or
-        retry exhaustion (journaling hook).  Raises
-        :class:`SupervisorInterrupted` when the chaos spec's ``sigterm``
-        budget is hit — after the triggering outcome was delivered.
+        ``jobs=1`` runs each attempt in this process; more run them on
+        up to ``jobs`` worker processes.  ``on_outcome`` fires once per
+        job as it reaches success or retry exhaustion (journaling
+        hook).  Raises :class:`SupervisorInterrupted` when the chaos
+        spec's ``sigterm`` budget is hit — after the triggering outcome
+        was delivered.
         """
         outcomes: dict[str, JobOutcome] = {}
         pending: list[_Job] = [
             _Job(key=key, payload=payload) for key, payload in items
         ]
         if not pending:
+            return outcomes
+        if self.jobs == 1:
+            self._run_in_process(pending, outcomes, on_outcome)
             return outcomes
         try:
             self._workers = [
@@ -482,6 +545,55 @@ class WorkerSupervisor:
         finally:
             self.shutdown()
         return outcomes
+
+    def _run_in_process(
+        self,
+        pending: list[_Job],
+        outcomes: dict[str, JobOutcome],
+        on_outcome: Optional[Callable[[JobOutcome], None]],
+    ) -> None:
+        """The ``jobs=1`` executor: every attempt runs in this process."""
+        previous = chaos_module.active_spec()
+        if self.chaos is not None:
+            # The cache-write hook (torn writes) reads the active spec.
+            chaos_module.activate(self.chaos)
+        try:
+            while pending:
+                now = time.monotonic()
+                job = self._next_pending(pending, now)
+                if job is None:
+                    # Everything pending is in a backoff window.
+                    time.sleep(min(j.not_before for j in pending) - now)
+                    continue
+                if not job.started_first:
+                    job.started_first = now
+                answer, stderr_tail = self._attempt(job)
+                self._settle(
+                    job, answer, stderr_tail, pending, outcomes, on_outcome
+                )
+        finally:
+            if self.chaos is not None:
+                chaos_module.activate(previous)
+
+    def _attempt(self, job: _Job) -> tuple[tuple, str]:
+        """One in-process attempt: its answer and a traceback tail."""
+        if self.chaos is not None:
+            action = self.chaos.worker_action(job.key, job.attempt)
+            if action is not None:
+                return _injected(action, job.key, job.attempt), ""
+        try:
+            with _AlarmDeadline(self.timeout):
+                return ("ok", self.worker_fn(job.payload)), ""
+        except _DeadlineExpired:
+            return (
+                "error", "JobTimeout",
+                f"no result within {self.timeout:.1f}s (in-process deadline)",
+            ), ""
+        except Exception as exc:  # noqa: BLE001 — answered, not hidden
+            return (
+                ("error", type(exc).__name__, str(exc)),
+                compact_tail(traceback.format_exc(), self.stderr_limit),
+            )
 
     def _assign(self, worker: _Worker, job: _Job, now: float) -> None:
         if not job.started_first:
@@ -497,28 +609,36 @@ class WorkerSupervisor:
         )
         worker.conn.send((job.key, job.payload, job.attempt))
 
-    def _next_pending(self, pending: list[_Job], now: float) -> Optional[_Job]:
-        """Pop the first runnable job (its backoff window has passed)."""
-        for index, job in enumerate(pending):
-            if job.not_before <= now:
-                return pending.pop(index)
-        return None
-
-    def _finish(
-        self,
-        outcomes: dict[str, JobOutcome],
-        outcome: JobOutcome,
-        on_outcome: Optional[Callable[[JobOutcome], None]],
-    ) -> None:
-        self.stats.completed += 1
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if self.chaos is not None and self.chaos.should_interrupt(
-            self.stats.completed
-        ):
-            raise SupervisorInterrupted(
-                f"chaos sigterm after {self.stats.completed} completion(s)"
+    def _poll(
+        self, worker: _Worker, ready: set[Any], now: float
+    ) -> Optional[tuple]:
+        """The answer for ``worker``'s job, or ``None`` while it runs."""
+        if worker.conn in ready:
+            try:
+                return worker.conn.recv()
+            except (EOFError, OSError):
+                # The result pipe is gone — worker died mid-send, or
+                # closed its fd while staying alive.  Either way this is
+                # a crash *now*: waiting for the sentinel would
+                # busy-spin (wait() re-reports the dead pipe every
+                # iteration) until the deadline.
+                return (
+                    "error", "WorkerCrash",
+                    "result pipe closed without a result "
+                    f"(exit code {worker.process.exitcode})",
+                )
+        if not worker.process.is_alive():
+            return (
+                "error", "WorkerCrash",
+                f"worker exited with code {worker.process.exitcode} "
+                "without returning a result",
             )
+        if now >= worker.deadline:
+            return (
+                "error", "JobTimeout",
+                f"no result within {self.timeout:.1f}s (worker terminated)",
+            )
+        return None
 
     def _loop(
         self,
@@ -526,6 +646,7 @@ class WorkerSupervisor:
         outcomes: dict[str, JobOutcome],
         on_outcome: Optional[Callable[[JobOutcome], None]],
     ) -> None:
+        """The ``jobs > 1`` executor: attempts run on worker processes."""
         while pending or any(w.job is not None for w in self._workers):
             now = time.monotonic()
             # Replace any dead idle workers, then hand out work.
@@ -555,85 +676,26 @@ class WorkerSupervisor:
             )
             sources: list[Any] = [w.conn for w in busy]
             sources.extend(w.process.sentinel for w in busy)
-            ready = mp_connection.wait(sources, timeout=min(wait_timeout, 1.0))
-            ready_set = set(ready)
+            ready = set(
+                mp_connection.wait(sources, timeout=min(wait_timeout, 1.0))
+            )
             now = time.monotonic()
 
             for index, worker in enumerate(self._workers):
                 job = worker.job
                 if job is None:
                     continue
-                message: Optional[tuple] = None
-                if worker.conn in ready_set:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # The result pipe is gone — worker died mid-send,
-                        # or closed its fd while staying alive.  Either
-                        # way this is a crash *now*: waiting for the
-                        # sentinel would busy-spin (wait() re-reports the
-                        # dead pipe every iteration) until the deadline.
-                        self.stats.crashes += 1
-                        exit_code = worker.process.exitcode
-                        tail = self._stderr_tail(worker)
+                answer = self._poll(worker, ready, now)
+                if answer is None:
+                    continue
+                worker.job = None
+                stderr_tail = ""
+                if answer[0] == "error":
+                    stderr_tail = self._stderr_tail(worker)
+                    if answer[1] in _LOST:
+                        # Dead or hung: kill and respawn before retrying.
                         self._kill_worker(worker)
                         self._workers[index] = self._spawn_worker()
-                        terminal = self._record_failure(
-                            job, pending, outcomes, "WorkerCrash",
-                            "result pipe closed without a result "
-                            f"(exit code {exit_code})",
-                            tail, now,
-                        )
-                        if terminal is not None:
-                            self._finish(outcomes, terminal, on_outcome)
-                        continue
-                if message is not None:
-                    worker.job = None
-                    if message[0] == "ok":
-                        elapsed = now - job.started_first
-                        outcome = JobOutcome(
-                            key=job.key, result=message[1],
-                            attempts=job.attempt, elapsed=elapsed,
-                        )
-                        outcomes[job.key] = outcome
-                        self._finish(outcomes, outcome, on_outcome)
-                    else:
-                        _tag, error_type, error_message = message
-                        self.stats.transient_errors += 1
-                        terminal = self._record_failure(
-                            job, pending, outcomes, error_type,
-                            error_message, self._stderr_tail(worker), now,
-                        )
-                        if terminal is not None:
-                            self._finish(outcomes, terminal, on_outcome)
-                    continue
-                if not worker.process.is_alive():
-                    # Crash: the worker died without delivering a result.
-                    self.stats.crashes += 1
-                    exit_code = worker.process.exitcode
-                    tail = self._stderr_tail(worker)
-                    self._kill_worker(worker)
-                    self._workers[index] = self._spawn_worker()
-                    terminal = self._record_failure(
-                        job, pending, outcomes, "WorkerCrash",
-                        f"worker exited with code {exit_code} "
-                        "without returning a result",
-                        tail, now,
-                    )
-                    if terminal is not None:
-                        self._finish(outcomes, terminal, on_outcome)
-                    continue
-                if now >= worker.deadline:
-                    # Hang: past the wall-clock budget — kill and retry.
-                    self.stats.timeouts += 1
-                    tail = self._stderr_tail(worker)
-                    self._kill_worker(worker)
-                    self._workers[index] = self._spawn_worker()
-                    terminal = self._record_failure(
-                        job, pending, outcomes, "JobTimeout",
-                        f"no result within {self.timeout:.1f}s "
-                        "(worker terminated)",
-                        tail, now,
-                    )
-                    if terminal is not None:
-                        self._finish(outcomes, terminal, on_outcome)
+                self._settle(
+                    job, answer, stderr_tail, pending, outcomes, on_outcome
+                )

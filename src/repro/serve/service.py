@@ -20,10 +20,12 @@ A submission passes through four stages, in order:
    concurrent submissions compute exactly once.  Dedupe runs *before*
    rate limiting, so duplicates are free.
 3. **Dispatch** — cache misses evaluate through
-   :func:`repro.experiments.runner.run_scenario` on the supervised
-   worker pool (``serve_jobs`` is clamped to >= 2 so the
-   timeout-enforced pool path is always taken); the content-addressed
-   result cache underneath serves repeat cells without simulation.
+   :func:`repro.experiments.runner.run_scenario` on supervised worker
+   processes; the content-addressed result cache underneath serves
+   repeat cells without simulation.  ``serve_jobs`` is clamped to >= 2
+   worker processes: a crash must stay in a worker, not take down the
+   server, and evaluations run on executor threads, where the SIGALRM
+   deadline of the in-process (``jobs=1``) executor cannot fire.
 4. **Degrade** — a crashed or timed-out worker never kills the
    request: the affected cells come back as explicit DEGRADED entries
    while healthy cells carry results.  Crash/timeout degradation feeds
@@ -55,9 +57,7 @@ from repro.serve.ratelimit import CircuitBreaker, Clock, TokenBucket
 
 #: Failure types that indicate infrastructure (not simulation) trouble —
 #: these feed the circuit breaker; anything else is an honest result.
-CRASH_FAILURE_TYPES = frozenset({
-    "WorkerCrash", "JobTimeout", "ChaosCrashError", "ChaosHangError",
-})
+CRASH_FAILURE_TYPES = frozenset({"WorkerCrash", "JobTimeout"})
 
 #: ``Retry-After`` quoted on queue-depth sheds (no better estimate than
 #: "one typical short evaluation" without profiling the queue).

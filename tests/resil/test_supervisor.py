@@ -11,15 +11,13 @@ import pytest
 
 from repro.resil.chaos import CHAOS_CRASH_EXIT, ChaosSpec
 from repro.resil.supervisor import (
-    DEFAULT_BACKOFF_S,
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT_S,
+    STDERR_TAIL_BYTES,
     SupervisorInterrupted,
     WorkerSupervisor,
+    _AlarmDeadline,
+    _DeadlineExpired,
     backoff_delay,
-    resolve_backoff,
-    resolve_retries,
-    resolve_timeout,
+    compact_tail,
 )
 
 # Worker functions live at module level so every start method can
@@ -123,9 +121,33 @@ class TestFailureModes:
         # The hang was killed at the deadline, not waited out.
         assert elapsed < 30.0
 
+    def test_timeout_kill_ignores_inherited_sigterm_handler(self):
+        # Forked workers inherit the parent's SIGTERM handler (the
+        # runner installs one); the kill at the deadline must still
+        # take effect at once, not after terminate()'s 5 s fallback.
+        import signal
+
+        def _raise(_signum, _frame):
+            raise RuntimeError("parent SIGTERM handler ran in a worker")
+
+        previous = signal.signal(signal.SIGTERM, _raise)
+        try:
+            supervisor = WorkerSupervisor(
+                _hang_on_seven, 2, timeout=0.5, retries=0, backoff=0.0
+            )
+            started = time.monotonic()
+            outcomes = supervisor.run([("hung", 7)])
+            elapsed = time.monotonic() - started
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcomes["hung"].failure.error_type == "JobTimeout"
+        assert elapsed < 4.0
+
     def test_pipe_eof_with_live_worker_is_immediate_crash(self):
+        # jobs=2: only a worker process has a result pipe (and stderr
+        # capture) to lose; jobs=1 would run the job in this process.
         supervisor = WorkerSupervisor(
-            _close_pipe_and_linger, 1, timeout=30.0, retries=0, backoff=0.0
+            _close_pipe_and_linger, 2, timeout=30.0, retries=0, backoff=0.0
         )
         started = time.monotonic()
         outcomes = supervisor.run([("job", 0)])
@@ -138,7 +160,7 @@ class TestFailureModes:
         # Handled the moment the pipe died — not at the 30s deadline.
         assert elapsed < 15.0
         supervisor = WorkerSupervisor(
-            _raise_with_stderr, 1, timeout=30.0, retries=2, backoff=0.0
+            _raise_with_stderr, 2, timeout=30.0, retries=2, backoff=0.0
         )
         outcomes = supervisor.run([("job", 0)])
         failure = outcomes["job"].failure
@@ -212,32 +234,71 @@ class TestKnobs:
     def test_backoff_zero_base(self):
         assert backoff_delay(0.0, "k", 5) == 0.0
 
-    def test_resolve_defaults(self, monkeypatch):
-        for name in ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_BACKOFF"):
-            monkeypatch.delenv(name, raising=False)
-        assert resolve_timeout() == DEFAULT_TIMEOUT_S
-        assert resolve_retries() == DEFAULT_RETRIES
-        assert resolve_backoff() == DEFAULT_BACKOFF_S
-
-    def test_resolve_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_BACKOFF", "0.1")
-        assert resolve_timeout() == 12.5
-        assert resolve_retries() == 5
-        assert resolve_backoff() == 0.1
-
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "12.5")
-        assert resolve_timeout(3.0) == 3.0
-        assert resolve_retries(0) == 0
-
-    def test_resolve_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMEOUT", "soon")
-        monkeypatch.setenv("REPRO_RETRIES", "-3")
-        assert resolve_timeout() == DEFAULT_TIMEOUT_S
-        assert resolve_retries() == DEFAULT_RETRIES
-
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             WorkerSupervisor(_square, 0)
+
+
+class TestAlarmDeadline:
+    def test_interrupts_a_runaway_body(self):
+        with pytest.raises(_DeadlineExpired):
+            with _AlarmDeadline(0.2):
+                time.sleep(5.0)
+
+    def test_fast_body_unaffected(self):
+        with _AlarmDeadline(5.0):
+            value = sum(range(1000))
+        assert value == 499500
+
+    def test_zero_timeout_never_enforces(self):
+        deadline = _AlarmDeadline(0.0)
+        assert not deadline.enforcing
+        with deadline:
+            time.sleep(0.01)
+
+    def test_timer_is_cancelled_on_exit(self):
+        import signal
+
+        with _AlarmDeadline(0.2):
+            pass
+        # Were the itimer still armed, this sleep would be interrupted.
+        time.sleep(0.3)
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+class TestCompactTail:
+    def test_consecutive_duplicates_collapse(self):
+        text = "warn: retry\n" * 5 + "error: gone\n"
+        compacted = compact_tail(text)
+        assert compacted.splitlines() == [
+            "warn: retry", "  [repeated x5]", "error: gone",
+        ]
+
+    def test_non_consecutive_lines_kept(self):
+        text = "a\nb\na\nb\n"
+        assert compact_tail(text).splitlines() == ["a", "b", "a", "b"]
+
+    def test_byte_bound_keeps_the_tail(self):
+        lines = [f"line {i:06d}" for i in range(10_000)]
+        compacted = compact_tail("\n".join(lines), limit=256)
+        assert len(compacted.encode("utf-8")) <= 256
+        assert compacted.splitlines()[-1] == "line 009999"
+
+    def test_default_limit_is_the_settings_default(self):
+        noisy = "x" * (STDERR_TAIL_BYTES * 3)
+        assert len(compact_tail(noisy).encode("utf-8")) <= STDERR_TAIL_BYTES
+
+    def test_multibyte_never_torn(self):
+        text = "é" * 10_000
+        compacted = compact_tail(text, limit=64)
+        compacted.encode("utf-8")  # round-trips cleanly
+        assert len(compacted.encode("utf-8")) <= 64
+
+    def test_empty_and_whitespace(self):
+        assert compact_tail("") == ""
+        # Blank lines compact like any other repeated line.
+        assert compact_tail("\n\n\n").splitlines() == ["", "  [repeated x3]"]
+
+    def test_repeat_marker_counts_correctly(self):
+        compacted = compact_tail("same\nsame\n")
+        assert compacted.splitlines() == ["same", "  [repeated x2]"]

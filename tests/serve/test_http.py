@@ -247,9 +247,7 @@ class TestEndToEndChaos:
             assert result["degraded"] is True
             assert result["cells_degraded"] == result["cells_total"] == 1
             failure = result["cells"][0]["failure"]
-            assert failure["error_type"] in (
-                "WorkerCrash", "ChaosCrashError"
-            )
+            assert failure["error_type"] == "WorkerCrash"
 
     def test_healthy_run_through_the_service_path(self):
         settings = ResilSettings(

@@ -145,7 +145,7 @@ class TestCircuitBreaker:
 
 
 class TestBackoffScheduling:
-    """The retry backoff the supervisor, serial path and serve share."""
+    """The retry backoff both supervisor executors and serve share."""
 
     def test_seeded_jitter_is_reproducible(self):
         first = [backoff_delay(0.25, "APP|hpe|0.75", a) for a in (1, 2, 3)]

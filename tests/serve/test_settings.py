@@ -39,9 +39,14 @@ class TestResolveOrder:
     def test_garbage_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKOFF", "sideways")
         monkeypatch.setenv("REPRO_MAX_CONCURRENT", "-2")
+        monkeypatch.delenv("REPRO_WORKER_TIMEOUT", raising=False)
+        monkeypatch.setenv(resil_settings.ENV_LEGACY_TIMEOUT, "soon")
+        monkeypatch.setenv("REPRO_RETRIES", "-3")
         settings = resolve()
         assert settings.backoff == 0.25
         assert settings.max_concurrent == 4
+        assert settings.worker_timeout == 600.0
+        assert settings.retries == 2
 
 
 class TestZeroSemantics:
@@ -97,10 +102,12 @@ class TestIntrospection:
             assert knob.kind in ("float", "int")
 
     def test_supervisor_resolvers_route_through_settings(self, monkeypatch):
-        from repro.resil import supervisor
+        from repro.resil.supervisor import WorkerSupervisor
 
         monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0")
-        assert supervisor.resolve_timeout() == 0.0
         monkeypatch.setenv("REPRO_RETRIES", "7")
-        assert supervisor.resolve_retries() == 7
-        assert supervisor.resolve_retries(1) == 1
+        for jobs in (1, 2):
+            supervisor = WorkerSupervisor(abs, jobs)
+            assert supervisor.timeout == 0.0
+            assert supervisor.retries == 7
+        assert WorkerSupervisor(abs, 1, retries=1).retries == 1

@@ -116,6 +116,19 @@ class TestRuntimeFlags:
                      "--scale", "0.5", "--jobs", "2"]) == 0
         assert os.environ[ENV_JOBS] == "2"
 
+    def test_timeout_zero_disables_enforcement(self, monkeypatch):
+        from repro.cli import _apply_runtime_flags
+        from repro.resil.settings import resolve
+
+        # setenv then delenv: unset for the test, restored afterwards
+        # (the flags write os.environ directly).
+        for name in ("REPRO_WORKER_TIMEOUT", "REPRO_TIMEOUT"):
+            monkeypatch.setenv(name, "1")
+            monkeypatch.delenv(name)
+        args = build_parser().parse_args(["figure", "3", "--timeout", "0"])
+        _apply_runtime_flags(args)
+        assert resolve().worker_timeout == 0.0
+
     def test_no_cache_disables_store(self, capsys):
         from repro.sim import cache as sim_cache
         main(["cache", "clear"])

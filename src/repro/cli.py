@@ -341,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "evaluation (same grammar as --chaos "
                               "elsewhere; e.g. 'seed=7,crash=0.3')")
     serve_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes per evaluation (same as "
-                              "REPRO_SERVE_JOBS; clamped to >= 2)")
+                         help="size of the worker pool all requests "
+                              "share (same as REPRO_SERVE_JOBS; clamped "
+                              "to >= 2)")
     serve_p.add_argument("--rate-limit", type=float, default=None,
                          metavar="RPS",
                          help="admission rate in requests/second "
@@ -905,6 +906,8 @@ def _run_serve(parser: argparse.ArgumentParser,
     from repro.serve import EvaluationService, serve_forever
 
     try:
+        # Built before serve_forever starts the event loop: the service
+        # forks its worker pool while this process has no other thread.
         service = EvaluationService(settings, chaos=args.chaos)
     except ChaosSpecError as error:
         parser.error(str(error))

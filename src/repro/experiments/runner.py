@@ -31,6 +31,7 @@ from repro.resil import (
     MatrixInterrupted,
     RunJournal,
     SupervisorInterrupted,
+    SupervisorStats,
     WorkerSupervisor,
 )
 from repro.resil import chaos as resil_chaos
@@ -448,6 +449,26 @@ def _run_job(job: tuple) -> SimulationResult:
     return run_spec(cell, obs=bool(observe))
 
 
+def start_cell_pool(
+    jobs: int,
+    *,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    backoff: Optional[float] = None,
+) -> WorkerSupervisor:
+    """A started long-lived pool of ``jobs`` (>= 2) workers that run
+    scenario cells.
+
+    Hand it to :func:`run_scenario` as ``supervisor`` from any number of
+    threads, and :meth:`~repro.resil.WorkerSupervisor.close` it when
+    done.  Create it before the process starts other threads: the
+    workers are forked here.
+    """
+    return WorkerSupervisor(
+        _run_job, jobs, timeout=timeout, retries=retries, backoff=backoff,
+    ).start()
+
+
 def matrix_run_id(
     policies: Sequence[str],
     rates: Sequence[float],
@@ -562,6 +583,7 @@ def run_scenario(
     backoff: Optional[float] = None,
     chaos: Optional[Union[ChaosSpec, str]] = None,
     journal: Optional[bool] = None,
+    supervisor: Optional[WorkerSupervisor] = None,
 ) -> ResultMatrix:
     """Run every cell of ``spec`` — the scenario-first matrix engine.
 
@@ -570,6 +592,15 @@ def run_scenario(
     carries ``spec.spec_hash()``, and each cell is cached under its
     :meth:`~repro.scenarios.spec.ScenarioSpec.digest`.  See
     :func:`run_matrix` for the execution/retry/journal contract.
+
+    ``supervisor`` sends the cells through a started long-lived pool
+    (:func:`start_cell_pool`) instead of one built for this call: the
+    pool's size, timeout, retries and backoff apply, so ``jobs``,
+    ``timeout``, ``retries`` and ``backoff`` are ignored, while
+    ``chaos`` and the ``resil.*`` gauges stay this call's.  No traces
+    are warmed or published for such a pool: its long-lived workers
+    fill their own bounded :class:`TraceCache`.  Closing the pool
+    interrupts the call (:class:`~repro.resil.MatrixInterrupted`).
     """
     cells = spec.cells()
     keys = [
@@ -706,39 +737,40 @@ def run_scenario(
             except (ValueError, OSError, TypeError):
                 pass
 
-    # The supervisor picks its executor from ``jobs``: in this process
-    # for 1, worker processes for more — even when a single cell
-    # remains, since only a process can be killed when a cell hangs in
-    # C code.
-    supervisor = WorkerSupervisor(
-        _run_job, jobs,
-        timeout=timeout, retries=retries, backoff=backoff,
-        chaos=chaos_spec,
-    )
+    # A pool built for this call picks its executor from ``jobs``: in
+    # this process for 1, worker processes for more — even when a
+    # single cell remains, since only a process can be killed when a
+    # cell hangs in C code.
+    pool = supervisor
+    if pool is None:
+        pool = WorkerSupervisor(
+            _run_job, jobs, timeout=timeout, retries=retries, backoff=backoff,
+        )
+    stats = SupervisorStats()
     trace_store = None
     previous_handler = install_sigterm()
     try:
-        if jobs > 1:
+        if supervisor is None and jobs > 1:
             trace_store = _share_traces(
                 remaining, seed=spec.seed, scale=spec.scale,
-                start_method=supervisor.start_method,
+                start_method=pool.start_method,
             )
         handle = trace_store.handle if trace_store is not None else None
         # The observe flag travels in the payload: a spawn-context worker
         # re-imports the world and loses any configure(enabled=True) made
         # by the CLI in this process.
-        outcomes = supervisor.run(
+        outcomes = pool.run(
             [
                 (job_keys[key], (cell_specs[key], observing, handle))
                 for key in remaining
             ],
-            on_outcome=on_outcome,
+            on_outcome=on_outcome, chaos=chaos_spec, stats=stats,
         )
     except (KeyboardInterrupt, SupervisorInterrupted, _MatrixSigTerm) as exc:
-        # Clean shutdown: any workers are already terminated (the
-        # supervisor shuts down in its finally), the journal gets its
-        # interruption record and fsync, and the caller gets a typed,
-        # resumable error.
+        # Clean shutdown: the workers of a per-call pool are already
+        # terminated (it shuts down in its finally), the journal gets
+        # its interruption record and fsync, and the caller gets a
+        # typed, resumable error.
         finalize(interrupted=True)
         done = counts["done"] + counts["failed"]
         raise MatrixInterrupted(run_id, done, len(keys) - done) from exc
@@ -756,7 +788,6 @@ def run_scenario(
             matrix.record_failure(key, outcome.failure)
     # Gauges only when there is something to report: a clean, unobserved
     # matrix keeps its metrics registry empty (the obs contract).
-    stats = supervisor.stats
     for name, value in (
         ("resil.retries", stats.retries),
         ("resil.crashes", stats.crashes),
@@ -784,7 +815,7 @@ def _share_traces(
     for is an in-memory hit and nothing is published for them: a
     segment would only start multiprocessing's resource tracker, whose
     lock deadlocks a worker forked while another thread holds it (two
-    concurrent ``hpe-repro serve`` requests).  Workers of any other
+    matrices started from concurrent threads).  Workers of any other
     start method begin empty, so the traces are published over shared
     memory and every worker maps the same read-only buffer instead of
     regenerating its own copies; the caller closes and unlinks the

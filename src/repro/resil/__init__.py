@@ -51,6 +51,7 @@ from repro.resil.supervisor import (
     JobFailure,
     JobOutcome,
     SupervisorInterrupted,
+    SupervisorStats,
     WorkerSupervisor,
     compact_tail,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "MatrixInterrupted",
     "RunJournal",
     "SupervisorInterrupted",
+    "SupervisorStats",
     "TornPayloadError",
     "WorkerSupervisor",
     "atomic_write_bytes",

@@ -35,9 +35,10 @@ attempt rolls a fresh, but reproducible, die.  Probabilities of exactly
 degradation test mode) while small probabilities model recoverable
 faults.
 
-Worker processes receive the spec *textually* (spawn-safe) and
-re-activate it; the cache layer consults the process-local active spec
-through :func:`maybe_corrupt`.
+The spec travels *textually* with each job a worker process runs
+(spawn-safe, and a long-lived pool serves runs with different specs);
+the worker activates it for that job, and the cache layer consults the
+process-local active spec through :func:`maybe_corrupt`.
 """
 
 from __future__ import annotations
@@ -165,17 +166,23 @@ _TORN_DIGESTS: set[str] = set()
 
 
 def activate(spec: Optional[ChaosSpec]) -> None:
-    """Install ``spec`` as this process's active chaos configuration."""
+    """Install ``spec`` as this process's active chaos configuration.
+
+    The set of digests already torn survives the switch: a worker
+    activates each job's spec in turn and still tears each digest at
+    most once.
+    """
     global _ACTIVE
     # Per-process by design: every worker installs its own chaos spec
     # from the job payload; the parent's value is never read back.
     _ACTIVE = spec  # noqa: REP011
-    _TORN_DIGESTS.clear()
 
 
 def deactivate() -> None:
-    """Remove any active chaos configuration (test teardown)."""
+    """Remove any active chaos configuration and forget torn digests
+    (test teardown)."""
     activate(None)
+    _TORN_DIGESTS.clear()
 
 
 def active_spec() -> Optional[ChaosSpec]:

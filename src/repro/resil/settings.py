@@ -42,12 +42,16 @@ Knob semantics
     seconds (poison-request protection).  ``threshold=0`` disables.
 ``drain_grace``
     Seconds a draining server waits for in-flight requests after
-    SIGTERM/SIGINT before exiting with status 75 (``EX_TEMPFAIL``).
+    SIGTERM/SIGINT.  Work still running then is interrupted (its
+    journal ends ``run_interrupted``) and the server exits with status
+    75 (``EX_TEMPFAIL``).
 ``serve_jobs``
-    Worker processes per request evaluation.  Clamped to >= 2 so every
-    evaluation runs in worker processes: a crash stays in the worker,
-    and the service evaluates on executor threads, where the SIGALRM
-    deadline of the in-process (``jobs=1``) executor cannot fire.
+    Size of the one worker pool that every request of the evaluation
+    service shares, forked when the service starts.  Clamped to >= 2 so
+    every evaluation runs in worker processes: a crash stays in the
+    worker, and the service evaluates on executor threads, where the
+    SIGALRM deadline of the in-process (``jobs=1``) executor cannot
+    fire.
 ``read_timeout``
     Seconds the HTTP layer waits for a slow client's request before
     answering 408 and closing (abandoned-connection protection).
@@ -126,7 +130,7 @@ KNOBS: tuple[Knob, ...] = (
          "seconds a draining server waits for in-flight requests "
          "after SIGTERM/SIGINT"),
     Knob("serve_jobs", "REPRO_SERVE_JOBS", 2, "int", False,
-         "worker processes per request evaluation (clamped to >= 2: "
+         "size of the worker pool all requests share (clamped to >= 2: "
          "a crash stays in a worker, and SIGALRM cannot fire on the "
          "service's executor threads)"),
     Knob("read_timeout", "REPRO_READ_TIMEOUT", 10.0, "float", False,

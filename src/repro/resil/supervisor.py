@@ -25,6 +25,19 @@ processes and assigns jobs to them individually, so it always knows
 Workers are persistent (they keep their in-process trace caches warm
 across jobs) and are respawned on demand after a crash or kill.
 
+A supervisor has two lifetimes.  Per call, :meth:`~WorkerSupervisor.run`
+forks ``min(jobs, len(items))`` workers, dispatches in the calling
+thread and shuts the workers down before it returns.  Long-lived,
+:meth:`~WorkerSupervisor.start` forks ``jobs`` workers and one
+dispatcher thread; :meth:`~WorkerSupervisor.run` may then be called
+from many threads at once, each call keeping its own outcomes,
+:class:`SupervisorStats`, chaos spec and ``on_outcome``, and
+:meth:`~WorkerSupervisor.close` answers every waiting call with
+:class:`SupervisorInterrupted` and terminates the workers.  Both
+lifetimes run one dispatch loop (:meth:`WorkerSupervisor._loop`): a free
+worker takes the oldest runnable job of the call with the fewest jobs in
+flight, so a large matrix cannot starve a single-cell call.
+
 With ``jobs=1`` the supervisor runs each attempt in the calling process
 instead, under a SIGALRM wall-clock deadline; an injected chaos
 ``crash`` or ``hang`` answers ``WorkerCrash`` or ``JobTimeout`` there
@@ -43,13 +56,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 import signal
 import sys
 import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -184,7 +198,8 @@ class SupervisorStats:
 
 
 class SupervisorInterrupted(RuntimeError):
-    """Raised inside :meth:`WorkerSupervisor.run` on chaos SIGTERM."""
+    """Raised inside :meth:`WorkerSupervisor.run` on chaos SIGTERM, or
+    when :meth:`WorkerSupervisor.close` ends a long-lived pool."""
 
 
 class _DeadlineExpired(BaseException):
@@ -245,10 +260,46 @@ class _Job:
 
 
 @dataclass
+class _Run:
+    """One :meth:`WorkerSupervisor.run` call: its jobs and their answers."""
+
+    pending: list[_Job]
+    chaos: Optional[ChaosSpec]
+    on_outcome: Optional[Callable[[JobOutcome], None]]
+    stats: SupervisorStats
+    outcomes: dict[str, JobOutcome] = field(default_factory=dict)
+    in_flight: int = 0
+    #: Why the run stopped before every job finished ("" until then).
+    interrupted: str = ""
+    #: A long-lived pool hands outcomes to the calling thread here
+    #: (``None`` ends the run); otherwise they are delivered inline.
+    inbox: Optional["queue.SimpleQueue[Optional[JobOutcome]]"] = None
+
+    @property
+    def finished(self) -> bool:
+        return bool(self.interrupted) or (
+            not self.pending and self.in_flight == 0
+        )
+
+    def deliver(self, outcome: JobOutcome) -> None:
+        if self.inbox is not None:
+            self.inbox.put(outcome)
+        elif self.on_outcome is not None:
+            self.on_outcome(outcome)
+
+    def stop(self, reason: str) -> None:
+        """Drop the pending jobs; answers still in flight are discarded."""
+        if not self.interrupted:
+            self.interrupted = reason
+        self.pending.clear()
+
+
+@dataclass
 class _Worker:
     process: Any
     conn: Any
     stderr_path: Path
+    run: Optional[_Run] = None
     job: Optional[_Job] = None
     deadline: float = 0.0
     stderr_offset: int = 0
@@ -258,9 +309,8 @@ def _worker_main(
     worker_fn: Callable[[Any], Any],
     conn: Any,
     stderr_path: str,
-    chaos_text: str,
 ) -> None:
-    """Worker process loop: recv (key, payload, attempt) → send answer.
+    """Worker process loop: recv (key, payload, attempt, chaos) → send answer.
 
     Runs until the parent sends ``None`` or closes the pipe.  stderr is
     redirected at the fd level so tracebacks and injected-crash notices
@@ -277,10 +327,6 @@ def _worker_main(
         sys.stderr = os.fdopen(2, "w", buffering=1)
     except OSError:
         pass
-    spec: Optional[ChaosSpec] = None
-    if chaos_text:
-        spec = ChaosSpec.parse(chaos_text)
-        chaos_module.activate(spec)
     while True:
         try:
             message = conn.recv()
@@ -288,7 +334,12 @@ def _worker_main(
             return
         if message is None:
             return
-        key, payload, attempt = message
+        key, payload, attempt, chaos_text = message
+        # Chaos travels with each job: one pool serves runs with
+        # different specs.  The cache-write hook (torn writes) reads
+        # the active spec.
+        spec = ChaosSpec.parse(chaos_text) if chaos_text else None
+        chaos_module.activate(spec)
         action = spec.worker_action(key, attempt) if spec is not None else None
         if action in ("crash", "hang"):
             print(
@@ -339,7 +390,10 @@ class WorkerSupervisor:
         self.retries = settings.retries
         self.backoff = settings.backoff
         self.stderr_limit = settings.stderr_tail_bytes
+        #: Chaos for every run that brings none of its own.
         self.chaos = chaos
+        #: Counters of the most recent :meth:`run` (concurrent callers
+        #: of a long-lived pool pass their own ``stats``).
         self.stats = SupervisorStats()
         if mp_context is None:
             import multiprocessing as mp
@@ -353,6 +407,16 @@ class WorkerSupervisor:
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._workers: list[_Worker] = []
         self._spawned = 0
+        # Guards the runs and their job lists, which the dispatcher
+        # thread of a long-lived pool shares with its callers.
+        self._lock = threading.Lock()
+        self._runs: list[_Run] = []
+        self._closed = False
+        self._dispatcher: Optional[threading.Thread] = None
+        # A self-pipe that wakes the dispatcher when a run arrives or
+        # the pool closes (-1 until :meth:`start`).
+        self._wake_r = -1
+        self._wake_w = -1
 
     @property
     def start_method(self) -> str:
@@ -373,10 +437,9 @@ class WorkerSupervisor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self._spawned += 1
         stderr_path = self._stderr_root() / f"worker-{self._spawned}.stderr"
-        chaos_text = self.chaos.text if self.chaos is not None else ""
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self.worker_fn, child_conn, str(stderr_path), chaos_text),
+            args=(self.worker_fn, child_conn, str(stderr_path)),
             daemon=True,
         )
         process.start()
@@ -398,6 +461,10 @@ class WorkerSupervisor:
             worker.conn.close()
         except OSError:
             pass
+
+    def _replace_worker(self, index: int) -> None:
+        self._kill_worker(self._workers[index])
+        self._workers[index] = self._spawn_worker()
 
     def _stderr_tail(self, worker: _Worker) -> str:
         """Stderr this worker wrote since its current job was assigned.
@@ -439,25 +506,101 @@ class WorkerSupervisor:
             self._tmpdir.cleanup()
             self._tmpdir = None
 
+    # -- the long-lived pool -------------------------------------------
+
+    def start(self) -> "WorkerSupervisor":
+        """Fork ``jobs`` workers and the dispatcher thread; returns self.
+
+        Call it before the process starts other threads: a worker forked
+        while another thread holds a lock inherits that lock held.  Only
+        respawns after a crash or timeout fork later.
+        """
+        if self.jobs < 2:
+            raise ValueError("a long-lived pool needs jobs >= 2")
+        if self._dispatcher is not None or self._closed:
+            raise RuntimeError("a pool starts once")
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        self._workers = [self._spawn_worker() for _ in range(self.jobs)]
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_until_closed,
+            name="supervisor-dispatch", daemon=True,
+        )
+        self._dispatcher.start()
+        return self
+
+    def close(self) -> None:
+        """End every waiting :meth:`run` with :class:`SupervisorInterrupted`
+        and terminate the workers.  Idempotent."""
+        with self._lock:
+            self._closed = True
+            self._stop_runs_locked("worker pool closed")
+            wake_r, wake_w = self._wake_r, self._wake_w
+            self._wake_r = self._wake_w = -1
+        if self._dispatcher is None or wake_w < 0:
+            return  # never started, or closed already
+        try:
+            os.write(wake_w, b"\0")
+        except OSError:
+            pass  # the pipe is full: a wake-up is pending already
+        self._dispatcher.join(timeout=30.0)
+        self.shutdown()
+        os.close(wake_r)
+        os.close(wake_w)
+
+    def pool_stats(self) -> dict[str, int]:
+        """Workers alive, forks so far, busy workers, jobs waiting."""
+        with self._lock:
+            workers = list(self._workers)
+            queued = sum(len(run.pending) for run in self._runs)
+        return {
+            "workers": sum(1 for w in workers if w.process.is_alive()),
+            "spawned": self._spawned,
+            "busy": sum(1 for w in workers if w.job is not None),
+            "queued": queued,
+        }
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except OSError:
+            pass  # the pipe is full: a wake-up is pending already
+
+    def _dispatch_until_closed(self) -> None:
+        try:
+            self._loop(lambda: self._closed)
+        finally:
+            # However the loop ended, no caller may wait on it forever.
+            with self._lock:
+                self._closed = True
+                self._stop_runs_locked("worker pool closed")
+
+    def _stop_runs_locked(self, reason: str) -> None:
+        for run in list(self._runs):
+            run.stop(reason)
+            self._retire_locked(run)
+
+    def _retire_locked(self, run: _Run) -> None:
+        """Forget a finished run and wake its caller (once)."""
+        if run in self._runs:
+            self._runs.remove(run)
+            if run.inbox is not None:
+                run.inbox.put(None)
+
     # -- settling an attempt -------------------------------------------
 
     def _settle(
-        self,
-        job: _Job,
-        answer: tuple,
-        stderr_tail: str,
-        pending: list[_Job],
-        outcomes: dict[str, JobOutcome],
-        on_outcome: Optional[Callable[[JobOutcome], None]],
+        self, run: _Run, job: _Job, answer: tuple, stderr_tail: str
     ) -> None:
         """Count one attempt's answer, then retry ``job`` or finish it.
 
-        A finished job is recorded in ``outcomes`` and handed to
-        ``on_outcome``; :class:`SupervisorInterrupted` follows once the
-        chaos ``sigterm`` budget of completions is spent.
+        A finished job is recorded in the run's outcomes and delivered
+        to its ``on_outcome``; the run stops once its chaos ``sigterm``
+        budget of completions is spent.
         """
         now = time.monotonic()
         elapsed = now - job.started_first
+        stats = run.stats
         if answer[0] == "ok":
             outcome = JobOutcome(
                 key=job.key, result=answer[1],
@@ -466,20 +609,20 @@ class WorkerSupervisor:
         else:
             _tag, error_type, message = answer
             if error_type == "WorkerCrash":
-                self.stats.crashes += 1
+                stats.crashes += 1
             elif error_type == "JobTimeout":
-                self.stats.timeouts += 1
+                stats.timeouts += 1
             else:
-                self.stats.transient_errors += 1
+                stats.transient_errors += 1
             if job.attempt <= self.retries:
-                self.stats.retries += 1
+                stats.retries += 1
                 job.not_before = now + backoff_delay(
                     self.backoff, job.key, job.attempt
                 )
                 job.attempt += 1
-                pending.append(job)
+                run.pending.append(job)
                 return
-            self.stats.exhausted += 1
+            stats.exhausted += 1
             outcome = JobOutcome(
                 key=job.key,
                 failure=JobFailure(
@@ -493,16 +636,13 @@ class WorkerSupervisor:
                 attempts=job.attempt,
                 elapsed=elapsed,
             )
-        outcomes[job.key] = outcome
-        self.stats.completed += 1
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if self.chaos is not None and self.chaos.should_interrupt(
-            self.stats.completed
+        run.outcomes[job.key] = outcome
+        stats.completed += 1
+        run.deliver(outcome)
+        if run.chaos is not None and run.chaos.should_interrupt(
+            stats.completed
         ):
-            raise SupervisorInterrupted(
-                f"chaos sigterm after {self.stats.completed} completion(s)"
-            )
+            run.stop(f"chaos sigterm after {stats.completed} completion(s)")
 
     def _next_pending(self, pending: list[_Job], now: float) -> Optional[_Job]:
         """Pop the first runnable job (its backoff window has passed)."""
@@ -517,68 +657,103 @@ class WorkerSupervisor:
         self,
         items: Sequence[tuple[str, Any]],
         on_outcome: Optional[Callable[[JobOutcome], None]] = None,
+        *,
+        chaos: Optional[ChaosSpec] = None,
+        stats: Optional[SupervisorStats] = None,
     ) -> dict[str, JobOutcome]:
         """Run every (key, payload) to a terminal outcome.
 
         ``jobs=1`` runs each attempt in this process; more run them on
-        up to ``jobs`` worker processes.  ``on_outcome`` fires once per
-        job as it reaches success or retry exhaustion (journaling
-        hook).  Raises :class:`SupervisorInterrupted` when the chaos
-        spec's ``sigterm`` budget is hit — after the triggering outcome
-        was delivered.
+        worker processes — this call's own, or the long-lived pool's
+        once :meth:`start` was called.  ``on_outcome`` fires once per
+        job, in this thread, as it reaches success or retry exhaustion
+        (journaling hook).  ``chaos`` (default: the supervisor's) and
+        ``stats`` (default: a fresh :class:`SupervisorStats`, also left
+        in :attr:`stats`) belong to this call alone.  Raises
+        :class:`SupervisorInterrupted` when the chaos spec's
+        ``sigterm`` budget is hit — after the triggering outcome was
+        delivered — or when the pool is closed.
         """
-        outcomes: dict[str, JobOutcome] = {}
-        pending: list[_Job] = [
-            _Job(key=key, payload=payload) for key, payload in items
-        ]
-        if not pending:
-            return outcomes
-        if self.jobs == 1:
-            self._run_in_process(pending, outcomes, on_outcome)
-            return outcomes
+        run = _Run(
+            pending=[_Job(key=key, payload=payload) for key, payload in items],
+            chaos=chaos if chaos is not None else self.chaos,
+            on_outcome=on_outcome,
+            stats=stats if stats is not None else SupervisorStats(),
+        )
+        self.stats = run.stats
+        if not run.pending:
+            return run.outcomes
+        if self._dispatcher is not None:
+            self._run_shared(run)
+        elif self.jobs == 1:
+            self._run_in_process(run)
+        else:
+            self._run_per_call(run)
+        if run.interrupted:
+            raise SupervisorInterrupted(run.interrupted)
+        return run.outcomes
+
+    def _run_per_call(self, run: _Run) -> None:
+        """Workers for this call only, dispatched from this thread."""
         try:
             self._workers = [
                 self._spawn_worker()
-                for _ in range(min(self.jobs, len(pending)))
+                for _ in range(min(self.jobs, len(run.pending)))
             ]
-            self._loop(pending, outcomes, on_outcome)
+            self._runs = [run]
+            self._loop(lambda: run.finished)
         finally:
+            self._runs = []
             self.shutdown()
-        return outcomes
 
-    def _run_in_process(
-        self,
-        pending: list[_Job],
-        outcomes: dict[str, JobOutcome],
-        on_outcome: Optional[Callable[[JobOutcome], None]],
-    ) -> None:
+    def _run_shared(self, run: _Run) -> None:
+        """Queue the run on the started pool; deliver its outcomes here."""
+        run.inbox = queue.SimpleQueue()
+        with self._lock:
+            if self._closed:
+                raise SupervisorInterrupted("worker pool closed")
+            self._runs.append(run)
+        self._wake()
+        try:
+            for outcome in iter(run.inbox.get, None):
+                if run.on_outcome is not None:
+                    run.on_outcome(outcome)
+        except BaseException:
+            # This caller is leaving (an interrupt, or on_outcome
+            # raised): the pool must not run its jobs on.
+            with self._lock:
+                run.stop("cancelled by its caller")
+                self._retire_locked(run)
+            raise
+
+    def _run_in_process(self, run: _Run) -> None:
         """The ``jobs=1`` executor: every attempt runs in this process."""
         previous = chaos_module.active_spec()
-        if self.chaos is not None:
+        if run.chaos is not None:
             # The cache-write hook (torn writes) reads the active spec.
-            chaos_module.activate(self.chaos)
+            chaos_module.activate(run.chaos)
         try:
-            while pending:
+            while run.pending:
                 now = time.monotonic()
-                job = self._next_pending(pending, now)
+                job = self._next_pending(run.pending, now)
                 if job is None:
                     # Everything pending is in a backoff window.
-                    time.sleep(min(j.not_before for j in pending) - now)
+                    time.sleep(min(j.not_before for j in run.pending) - now)
                     continue
                 if not job.started_first:
                     job.started_first = now
-                answer, stderr_tail = self._attempt(job)
-                self._settle(
-                    job, answer, stderr_tail, pending, outcomes, on_outcome
-                )
+                answer, stderr_tail = self._attempt(run.chaos, job)
+                self._settle(run, job, answer, stderr_tail)
         finally:
-            if self.chaos is not None:
+            if run.chaos is not None:
                 chaos_module.activate(previous)
 
-    def _attempt(self, job: _Job) -> tuple[tuple, str]:
+    def _attempt(
+        self, chaos: Optional[ChaosSpec], job: _Job
+    ) -> tuple[tuple, str]:
         """One in-process attempt: its answer and a traceback tail."""
-        if self.chaos is not None:
-            action = self.chaos.worker_action(job.key, job.attempt)
+        if chaos is not None:
+            action = chaos.worker_action(job.key, job.attempt)
             if action is not None:
                 return _injected(action, job.key, job.attempt), ""
         try:
@@ -595,19 +770,54 @@ class WorkerSupervisor:
                 compact_tail(traceback.format_exc(), self.stderr_limit),
             )
 
-    def _assign(self, worker: _Worker, job: _Job, now: float) -> None:
+    def _dispatch_locked(self, now: float) -> float:
+        """Give each idle worker the oldest runnable job of the run with
+        the fewest jobs in flight.
+
+        Returns when the earliest backoff window left waiting for an
+        idle worker ends (``inf`` when none is).
+        """
+        idle = [w for w in self._workers if w.job is None]
+        for worker in idle:
+            runnable = [
+                run for run in self._runs
+                if any(job.not_before <= now for job in run.pending)
+            ]
+            if not runnable:
+                break
+            # min() keeps the earliest run on ties: submission order.
+            run = min(runnable, key=lambda r: r.in_flight)
+            job = self._next_pending(run.pending, now)
+            assert job is not None
+            self._assign(worker, run, job, now)
+        if all(w.job is not None for w in self._workers):
+            return math.inf
+        return min(
+            (job.not_before for run in self._runs for job in run.pending),
+            default=math.inf,
+        )
+
+    def _assign(
+        self, worker: _Worker, run: _Run, job: _Job, now: float
+    ) -> None:
         if not job.started_first:
             job.started_first = now
         try:
             worker.stderr_offset = worker.stderr_path.stat().st_size
         except OSError:
             worker.stderr_offset = 0
+        worker.run = run
         worker.job = job
+        run.in_flight += 1
         # timeout 0 is the documented escape hatch: no deadline at all.
         worker.deadline = (
             now + self.timeout if self.timeout > 0 else math.inf
         )
-        worker.conn.send((job.key, job.payload, job.attempt))
+        chaos_text = run.chaos.text if run.chaos is not None else ""
+        try:
+            worker.conn.send((job.key, job.payload, job.attempt, chaos_text))
+        except (OSError, ValueError):
+            pass  # the worker died idle: _poll answers WorkerCrash
 
     def _poll(
         self, worker: _Worker, ready: set[Any], now: float
@@ -640,62 +850,53 @@ class WorkerSupervisor:
             )
         return None
 
-    def _loop(
-        self,
-        pending: list[_Job],
-        outcomes: dict[str, JobOutcome],
-        on_outcome: Optional[Callable[[JobOutcome], None]],
-    ) -> None:
-        """The ``jobs > 1`` executor: attempts run on worker processes."""
-        while pending or any(w.job is not None for w in self._workers):
+    def _loop(self, until: Callable[[], bool]) -> None:
+        """The ``jobs > 1`` executor: dispatch attempts to the workers
+        and settle their answers until ``until()`` holds."""
+        while not until():
             now = time.monotonic()
-            # Replace any dead idle workers, then hand out work.
             for index, worker in enumerate(self._workers):
                 if worker.job is None and not worker.process.is_alive():
-                    self._kill_worker(worker)
-                    self._workers[index] = self._spawn_worker()
-            for worker in self._workers:
-                if worker.job is not None:
-                    continue
-                job = self._next_pending(pending, now)
-                if job is None:
-                    break
-                self._assign(worker, job, now)
-
+                    self._replace_worker(index)
+            with self._lock:
+                wake_at = self._dispatch_locked(now)
             busy = [w for w in self._workers if w.job is not None]
-            if not busy:
-                # Everything pending is in a backoff window: sleep to
-                # the earliest not_before.
-                wake = min(job.not_before for job in pending)
-                time.sleep(max(0.0, min(wake - now, 0.25)))
-                continue
-
-            # Earliest deadline bounds the wait; sentinels detect death.
-            wait_timeout = max(
-                0.0, min(w.deadline for w in busy) - now
+            # The earliest deadline or backoff end bounds the wait;
+            # sentinels detect death; the self-pipe announces new runs.
+            timeout = min(
+                [1.0, wake_at - now] + [w.deadline - now for w in busy]
             )
             sources: list[Any] = [w.conn for w in busy]
             sources.extend(w.process.sentinel for w in busy)
-            ready = set(
-                mp_connection.wait(sources, timeout=min(wait_timeout, 1.0))
-            )
+            # close() closes the self-pipe only after this loop ended.
+            wake_r = self._wake_r
+            if wake_r >= 0:
+                sources.append(wake_r)
+            if not sources:
+                time.sleep(max(0.0, timeout))
+                continue
+            ready = set(mp_connection.wait(sources, timeout=max(0.0, timeout)))
+            if wake_r in ready:
+                os.read(wake_r, 4096)
             now = time.monotonic()
 
             for index, worker in enumerate(self._workers):
-                job = worker.job
-                if job is None:
+                run, job = worker.run, worker.job
+                if run is None or job is None:
                     continue
                 answer = self._poll(worker, ready, now)
                 if answer is None:
                     continue
-                worker.job = None
+                worker.run = worker.job = None
                 stderr_tail = ""
                 if answer[0] == "error":
                     stderr_tail = self._stderr_tail(worker)
                     if answer[1] in _LOST:
                         # Dead or hung: kill and respawn before retrying.
-                        self._kill_worker(worker)
-                        self._workers[index] = self._spawn_worker()
-                self._settle(
-                    job, answer, stderr_tail, pending, outcomes, on_outcome
-                )
+                        self._replace_worker(index)
+                with self._lock:
+                    run.in_flight -= 1
+                    if not run.interrupted:
+                        self._settle(run, job, answer, stderr_tail)
+                    if run.finished:
+                        self._retire_locked(run)

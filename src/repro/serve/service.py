@@ -20,12 +20,16 @@ A submission passes through four stages, in order:
    concurrent submissions compute exactly once.  Dedupe runs *before*
    rate limiting, so duplicates are free.
 3. **Dispatch** — cache misses evaluate through
-   :func:`repro.experiments.runner.run_scenario` on supervised worker
-   processes; the content-addressed result cache underneath serves
-   repeat cells without simulation.  ``serve_jobs`` is clamped to >= 2
-   worker processes: a crash must stay in a worker, not take down the
-   server, and evaluations run on executor threads, where the SIGALRM
-   deadline of the in-process (``jobs=1``) executor cannot fire.
+   :func:`repro.experiments.runner.run_scenario` on one long-lived pool
+   of supervised worker processes that every request shares; the
+   content-addressed result cache underneath serves repeat cells
+   without simulation.  The pool is forked when the service is built,
+   before the HTTP loop and the evaluation threads exist, so the server
+   forks again only to replace a crashed or timed-out worker.
+   ``serve_jobs`` sizes it, clamped to >= 2 worker processes: a crash
+   must stay in a worker, not take down the server, and evaluations run
+   on executor threads, where the SIGALRM deadline of the in-process
+   (``jobs=1``) executor cannot fire.
 4. **Degrade** — a crashed or timed-out worker never kills the
    request: the affected cells come back as explicit DEGRADED entries
    while healthy cells carry results.  Crash/timeout degradation feeds
@@ -35,6 +39,11 @@ Deadlines: a request's deadline covers its whole life — queue wait
 included.  It is checked when the evaluation would start (an expired
 queued job terminates as ``deadline_exceeded`` without running) and
 each cell is separately bounded by ``worker_timeout`` while running.
+
+Drain: :meth:`EvaluationService.drain` closes the pool.  Work still
+running when the grace expires is interrupted, not waited out: its
+journal ends ``run_interrupted`` and its job ``interrupted`` with the
+``hpe-repro resume`` hint.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from repro.resil import MatrixInterrupted
 from repro.resil.chaos import ChaosSpec, ChaosSpecError
 from repro.resil.settings import ResilSettings
 from repro.resil.settings import resolve as resolve_settings
-from repro.resil.supervisor import JobFailure
+from repro.resil.supervisor import JobFailure, WorkerSupervisor
 from repro.scenarios.registry import all_scenarios, get_scenario
 from repro.scenarios.spec import MatrixSpec, ScenarioError, ScenarioSpec
 from repro.serve.ratelimit import CircuitBreaker, Clock, TokenBucket
@@ -170,9 +179,11 @@ class EvaluationService:
 
     ``runner`` is injectable for tests: it must accept the keyword
     signature of :func:`repro.experiments.runner.run_scenario` and
-    return a ``ResultMatrix``-shaped object.  ``clock`` drives the
-    token bucket, breaker, deadlines and latency metrics (fake clocks
-    make the admission tests deterministic — no sleeping).
+    return a ``ResultMatrix``-shaped object.  Only the real runner gets
+    the shared worker pool, which the constructor starts and
+    :meth:`drain` closes.  ``clock`` drives the token bucket, breaker,
+    deadlines and latency metrics (fake clocks make the admission tests
+    deterministic — no sleeping).
     """
 
     def __init__(
@@ -185,16 +196,26 @@ class EvaluationService:
     ) -> None:
         self.settings = settings if settings is not None else resolve_settings()
         self._clock: Clock = clock if clock is not None else time.monotonic
-        if runner is None:
-            from repro.experiments.runner import run_scenario
-            runner = run_scenario
-        self._runner = runner
         #: Server-side chaos injection applied to every evaluation
         #: (``hpe-repro serve --chaos`` — the chaos harness wired
         #: through the service path).
         self.server_chaos = (chaos or "").strip()
         if self.server_chaos:
             ChaosSpec.parse(self.server_chaos)  # fail fast on bad grammar
+        self._supervisor: Optional[WorkerSupervisor] = None
+        if runner is None:
+            from repro.experiments.runner import run_scenario, start_cell_pool
+
+            runner = run_scenario
+            # The workers fork here: build the service before the
+            # process starts other threads (hpe-repro serve does).
+            self._supervisor = start_cell_pool(
+                max(2, self.settings.serve_jobs),
+                timeout=self.settings.worker_timeout,
+                retries=self.settings.retries,
+                backoff=self.settings.backoff,
+            )
+        self._runner = runner
         self._lock = threading.Lock()
         self._terminal = threading.Condition(self._lock)
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
@@ -435,11 +456,8 @@ class EvaluationService:
             matrix = self._runner(
                 job.spec,
                 progress=False,
-                jobs=max(2, self.settings.serve_jobs),
-                timeout=self.settings.worker_timeout,
-                retries=self.settings.retries,
-                backoff=self.settings.backoff,
                 chaos=self._combined_chaos(job),
+                supervisor=self._supervisor,
             )
         except MatrixInterrupted as exc:
             with self._lock:
@@ -568,7 +586,12 @@ class EvaluationService:
         ]
 
     def stats(self) -> dict[str, object]:
-        """Counters, gauges, latency summary, breaker and queue state."""
+        """Counters, gauges, latency summary, breaker, queue and pool
+        state (``pool`` is ``None`` for an injected runner)."""
+        pool = (
+            self._supervisor.pool_stats()
+            if self._supervisor is not None else None
+        )
         with self._lock:
             latency = self.metrics.histogram("serve.request_latency_ms")
             by_state: dict[str, int] = {}
@@ -598,6 +621,7 @@ class EvaluationService:
                 "tokens": self.bucket.tokens,
                 "breaker_open": self.breaker.open_keys(),
                 "breaker_trips": self.breaker.tripped_total,
+                "pool": pool,
             }
 
     def health(self) -> dict[str, object]:
@@ -624,11 +648,14 @@ class EvaluationService:
         return self._draining
 
     def drain(self, grace: Optional[float] = None) -> int:
-        """Stop admitting, wait up to ``grace`` for in-flight work.
+        """Stop admitting, wait up to ``grace`` for in-flight work, then
+        close the worker pool.
 
         Returns the number of jobs still live when the grace expired —
         0 means a clean drain (exit 0); anything else maps to exit 75
-        (``EX_TEMPFAIL``): the journal has what finished, ``hpe-repro
+        (``EX_TEMPFAIL``).  Closing the pool interrupts that stranded
+        work instead of waiting it out: each run's journal ends
+        ``run_interrupted`` and its job ``interrupted``, so ``hpe-repro
         resume`` picks up the rest.
         """
         grace = self.settings.drain_grace if grace is None else grace
@@ -641,5 +668,7 @@ class EvaluationService:
                     break
                 self._terminal.wait(remaining)
             stranded = self._live_count_locked()
+        if self._supervisor is not None:
+            self._supervisor.close()
         self._pool.shutdown(wait=(stranded == 0))
         return stranded

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from repro.resil.chaos import CHAOS_CRASH_EXIT, ChaosSpec
 from repro.resil.supervisor import (
     STDERR_TAIL_BYTES,
     SupervisorInterrupted,
+    SupervisorStats,
     WorkerSupervisor,
     _AlarmDeadline,
     _DeadlineExpired,
@@ -54,6 +56,20 @@ def _close_pipe_and_linger(payload):
     """
     os.closerange(3, 256)
     time.sleep(3600)
+
+
+def _nap(payload):
+    """Sleep ``payload`` seconds, then answer it."""
+    time.sleep(payload)
+    return payload
+
+
+def _tear(digest):
+    """Did the active chaos spec tear a cache write of ``digest``?"""
+    from repro.resil import chaos as chaos_module
+
+    framed = b"framed-bytes" * 8
+    return chaos_module.maybe_corrupt(digest, framed) != framed
 
 
 def _fail_once(payload):
@@ -217,6 +233,195 @@ class TestChaosIntegration:
             )
         # The triggering outcome is delivered before the interrupt.
         assert len(delivered) == 2
+
+
+def _in_thread(target):
+    """Run ``target`` on a thread; returns (thread, box) where ``box``
+    ends up holding ``("ok", value)`` or ``("error", exception)``."""
+    box = []
+
+    def body():
+        try:
+            box.append(("ok", target()))
+        except Exception as exc:  # noqa: BLE001 — asserted by the test
+            box.append(("error", exc))
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    return thread, box
+
+
+def _join(thread, box, timeout=60.0):
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "run() never returned"
+    return box[0]
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def pool_factory():
+    """Start long-lived pools; every one is closed at teardown."""
+    pools = []
+
+    def make(worker_fn, jobs=2, **kwargs):
+        kwargs.setdefault("timeout", 30.0)
+        kwargs.setdefault("backoff", 0.0)
+        pool = WorkerSupervisor(worker_fn, jobs, **kwargs).start()
+        pools.append(pool)
+        return pool
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
+class TestLongLivedPool:
+    def test_concurrent_runs_keep_their_own_stats_and_chaos(self, pool_factory):
+        pool = pool_factory(_square, retries=1)
+        stats_a, stats_b = SupervisorStats(), SupervisorStats()
+        a = _in_thread(lambda: pool.run(
+            [(f"a-{i}", i) for i in range(4)],
+            chaos=ChaosSpec.parse("flaky=1.0,seed=3"), stats=stats_a,
+        ))
+        b = _in_thread(lambda: pool.run(
+            [(f"b-{i}", i) for i in range(6)], stats=stats_b,
+        ))
+        tag_a, outcomes_a = _join(*a)
+        tag_b, outcomes_b = _join(*b)
+        assert (tag_a, tag_b) == ("ok", "ok")
+        assert sorted(outcomes_a) == [f"a-{i}" for i in range(4)]
+        assert all(
+            o.failure.error_type == "ChaosTransientError"
+            for o in outcomes_a.values()
+        )
+        assert {k: o.result for k, o in outcomes_b.items()} == {
+            f"b-{i}": i * i for i in range(6)
+        }
+        assert (stats_a.completed, stats_a.retries, stats_a.exhausted,
+                stats_a.transient_errors) == (4, 4, 4, 8)
+        assert (stats_b.completed, stats_b.retries, stats_b.exhausted,
+                stats_b.transient_errors) == (6, 0, 0, 0)
+        assert pool.pool_stats()["spawned"] == 2
+
+    def test_sigterm_budget_interrupts_only_its_own_run(self, pool_factory):
+        pool = pool_factory(_nap, retries=0)
+        delivered = []
+        a = _in_thread(lambda: pool.run(
+            [(f"a-{i}", 0.02) for i in range(8)],
+            on_outcome=lambda outcome: delivered.append(outcome.key),
+            chaos=ChaosSpec.parse("sigterm=2,seed=3"),
+        ))
+        b = _in_thread(lambda: pool.run([(f"b-{i}", 0.02) for i in range(8)]))
+        tag_a, error = _join(*a)
+        tag_b, outcomes_b = _join(*b)
+        assert tag_a == "error" and isinstance(error, SupervisorInterrupted)
+        assert len(delivered) == 2
+        assert tag_b == "ok" and len(outcomes_b) == 8
+        assert all(outcome.ok for outcome in outcomes_b.values())
+        # The pool outlives the interrupted run.
+        assert pool.run([("c", 0.0)])["c"].ok
+
+    def test_a_free_worker_prefers_the_run_with_fewest_in_flight(
+        self, pool_factory
+    ):
+        pool = pool_factory(_nap)
+        finished = []
+        lock = threading.Lock()
+
+        def record(outcome):
+            with lock:
+                finished.append(outcome.key)
+
+        big = _in_thread(lambda: pool.run(
+            [(f"big-{i}", 0.15) for i in range(12)], on_outcome=record,
+        ))
+        _wait_for(lambda: pool.pool_stats()["busy"] == 2)
+        pool.run([("small", 0.0)], on_outcome=record)
+        with lock:
+            position = finished.index("small")
+        # A first-come pool would queue the single job behind ten big
+        # ones.
+        assert position <= 4, finished
+        assert _join(*big)[0] == "ok"
+
+    def test_close_interrupts_a_waiting_run_and_stops_workers(
+        self, pool_factory
+    ):
+        pool = pool_factory(_hang_on_seven, retries=0)
+        processes = [worker.process for worker in pool._workers]
+        waiting = _in_thread(lambda: pool.run([("hung", 7)]))
+        _wait_for(lambda: pool.pool_stats()["busy"] == 1)
+        started = time.monotonic()
+        pool.close()
+        tag, error = _join(*waiting, timeout=10.0)
+        assert tag == "error" and isinstance(error, SupervisorInterrupted)
+        assert time.monotonic() - started < 10.0
+        assert not any(process.is_alive() for process in processes)
+        with pytest.raises(SupervisorInterrupted):
+            pool.run([("late", 1)])
+        pool.close()  # idempotent
+
+    def test_crash_costs_one_respawn(self, pool_factory):
+        pool = pool_factory(_crash_on_seven, retries=0)
+        outcomes = pool.run([("ok", 1), ("dead", 7)])
+        assert outcomes["dead"].failure.error_type == "WorkerCrash"
+        assert pool.pool_stats() == {
+            "workers": 2, "spawned": 3, "busy": 0, "queued": 0,
+        }
+
+    def test_a_worker_tears_each_digest_once_across_specs(self, pool_factory):
+        # Both idle workers take one job of each run, so each worker
+        # sees the digest under two different specs.
+        pool = pool_factory(_tear)
+        first = pool.run(
+            [("a", "digest"), ("b", "digest")],
+            chaos=ChaosSpec.parse("torn=1.0,seed=5"),
+        )
+        second = pool.run(
+            [("c", "digest"), ("d", "digest")],
+            chaos=ChaosSpec.parse("torn=1.0,seed=6"),
+        )
+        assert [o.result for o in first.values()] == [True, True]
+        assert [o.result for o in second.values()] == [False, False]
+
+    def test_many_threads_share_one_pool(self, pool_factory):
+        # More workers than cores and a short switch interval: a lost
+        # update to a run's in-flight count or job list would strand a
+        # caller (the join times out) or mix outcomes between runs.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = pool_factory(_square, jobs=max(3, (os.cpu_count() or 1) + 1))
+            calls = [
+                _in_thread(lambda n=n: pool.run(
+                    [(f"{n}-{i}", n * 100 + i) for i in range(10)]
+                ))
+                for n in range(8)
+            ]
+            for n, call in enumerate(calls):
+                tag, outcomes = _join(*call)
+                assert tag == "ok"
+                assert {k: o.result for k, o in outcomes.items()} == {
+                    f"{n}-{i}": (n * 100 + i) ** 2 for i in range(10)
+                }
+        finally:
+            sys.setswitchinterval(previous)
+        stats = pool.pool_stats()
+        assert (stats["busy"], stats["queued"]) == (0, 0)
+        assert stats["spawned"] == pool.jobs
+
+    def test_start_needs_two_workers_and_starts_once(self, pool_factory):
+        with pytest.raises(ValueError):
+            WorkerSupervisor(_square, 1).start()
+        pool = pool_factory(_square)
+        with pytest.raises(RuntimeError):
+            pool.start()
 
 
 class TestKnobs:

@@ -249,6 +249,54 @@ class TestEndToEndChaos:
             failure = result["cells"][0]["failure"]
             assert failure["error_type"] == "WorkerCrash"
 
+    def test_stats_report_one_pool_for_many_requests(self):
+        from repro.experiments.runner import run_spec
+        from repro.scenarios.spec import ScenarioSpec
+
+        settings = ResilSettings(
+            rate_limit=0.0, max_queue=16, max_concurrent=2,
+            request_deadline=0.0, breaker_threshold=0, drain_grace=2.0,
+            worker_timeout=60.0, retries=0, backoff=0.01, serve_jobs=2,
+        )
+        cells = [
+            {"workload": app, "policy": policy, "rate": rate, "scale": 0.25}
+            for app in ("HOT", "STN", "KMN")
+            for policy in ("lru", "hpe")
+            for rate in (0.5, 0.75)
+        ]
+        service = EvaluationService(settings)
+        answers = {}
+        lock = threading.Lock()
+        with ServerThread(service) as server:
+            def send(share):
+                client = ServiceClient("127.0.0.1", server.port)
+                for cell in share:
+                    response = client.submit({"cell": cell})
+                    final = client.watch(response.body["job_id"], timeout=120.0)
+                    with lock:
+                        answers[tuple(cell.values())] = final.body
+
+            threads = [
+                threading.Thread(target=send, args=(cells[i::2],))
+                for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300.0)
+                assert not thread.is_alive()
+            pool = ServiceClient("127.0.0.1", server.port).stats().body["pool"]
+        # Twelve simulated requests, one fork per pool worker.
+        assert pool == {"workers": 2, "spawned": 2, "busy": 0, "queued": 0}
+        assert len(answers) == len(cells)
+        for cell in cells:
+            body = answers[tuple(cell.values())]
+            assert body["status"] == "done"
+            metrics = body["result"]["cells"][0]["metrics"]
+            expected = run_spec(ScenarioSpec(**cell), use_cache=False)
+            for name in ("ipc", "cycles", "faults", "evictions"):
+                assert metrics[name] == getattr(expected, name), (cell, name)
+
     def test_healthy_run_through_the_service_path(self):
         settings = ResilSettings(
             rate_limit=0.0, max_queue=8, max_concurrent=1,

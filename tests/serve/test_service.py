@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments.runner import RunKey
+from repro.resil import journal as resil_journal
 from repro.resil.settings import ResilSettings
 from repro.resil.supervisor import JobFailure
 from repro.serve.service import EvaluationService, summarize_matrix
@@ -332,6 +333,7 @@ class TestDrainAndStats:
             assert stats["latency_ms"]["count"] == 1
             assert stats["jobs"] == {"done": 1}
             assert stats["breaker_open"] == []
+            assert stats["pool"] is None  # an injected runner has none
         finally:
             service.drain(grace=5.0)
 
@@ -349,6 +351,104 @@ class TestDrainAndStats:
         finally:
             gate.set()
             service.drain(grace=5.0)
+
+
+@pytest.fixture
+def real_service(tmp_path):
+    """Build services on the real runner and its shared worker pool,
+    over an empty result cache (a cached cell never reaches a worker,
+    so chaos could not fire); each is drained at teardown."""
+    from repro.sim import cache as sim_cache
+
+    previous_dir = sim_cache.cache_dir()
+    previous_enabled = sim_cache.cache_enabled()
+    sim_cache.configure(enabled=True, directory=tmp_path)
+    services = []
+
+    def make(**overrides):
+        defaults = dict(
+            rate_limit=0.0, max_queue=16, max_concurrent=4,
+            request_deadline=0.0, breaker_threshold=0, drain_grace=2.0,
+            worker_timeout=60.0, retries=0, backoff=0.01, serve_jobs=2,
+        )
+        defaults.update(overrides)
+        service = EvaluationService(ResilSettings(**defaults))
+        services.append(service)
+        return service
+
+    try:
+        yield make
+    finally:
+        for service in services:
+            service.drain(grace=5.0)
+        sim_cache.configure(enabled=previous_enabled, directory=previous_dir)
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestSharedPool:
+    """Every request of one service dispatches through one worker pool."""
+
+    def test_a_crash_stays_in_its_own_request(self, real_service):
+        service = real_service()
+        _, crashing = service.submit(
+            {"cell": CELL_C, "chaos": "seed=3,crash=1.0"}
+        )
+        _, clean = service.submit({"cell": CELL_B})
+        crashed = wait_terminal(service, crashing["job_id"], timeout=120.0)
+        healthy = wait_terminal(service, clean["job_id"], timeout=120.0)
+        assert crashed["status"] == healthy["status"] == "done"
+        cells = crashed["result"]["cells"]
+        assert [c["status"] for c in cells] == ["DEGRADED"]
+        assert cells[0]["failure"]["error_type"] == "WorkerCrash"
+        assert healthy["result"]["cells_degraded"] == 0
+        _, third = service.submit({"cell": CELL_A})
+        assert wait_terminal(service, third["job_id"])["status"] == "done"
+        # Forked at start-up, plus one respawn for the crash.
+        assert service.stats()["pool"]["spawned"] == 3
+
+    def test_a_single_cell_overtakes_a_large_request(self, real_service):
+        service = real_service()
+        _, large = service.submit({"spec": {
+            "policies": ["lru", "hpe", "random", "rrip", "clock-pro", "fifo"],
+            "rates": [0.5, 0.75], "apps": ["BFS"], "scale": 0.5,
+        }})
+        _wait_until(lambda: service.stats()["pool"]["busy"] == 2)
+        _, single = service.submit({"cell": CELL_C})
+        assert wait_terminal(service, single["job_id"])["status"] == "done"
+        # A first-come pool would run the single cell after ten of the
+        # twelve.
+        assert service.snapshot(large["job_id"])["status"] == "running"
+        records = resil_journal.read_journal(
+            resil_journal.journal_path(large["run_id"])
+        )
+        assert sum(r["type"] == "job_done" for r in records) <= 6
+        assert wait_terminal(service, large["job_id"], timeout=120.0)[
+            "result"]["cells_total"] == 12
+
+    def test_drain_interrupts_stranded_work_and_closes_the_pool(
+        self, real_service
+    ):
+        service = real_service(worker_timeout=20.0)
+        processes = [
+            worker.process for worker in service._supervisor._workers
+        ]
+        _, body = service.submit({"cell": CELL_C, "chaos": "seed=1,hang=1.0"})
+        _wait_until(lambda: service.stats()["pool"]["busy"] == 1)
+        assert service.drain(grace=0.5) == 1
+        view = service.snapshot(body["job_id"], wait=5.0)
+        assert view["status"] == "interrupted", view
+        assert view["error"]["resume"] == f"hpe-repro resume {body['run_id']}"
+        records = resil_journal.read_journal(
+            resil_journal.journal_path(body["run_id"])
+        )
+        assert records[-1]["type"] == "run_interrupted"
+        assert not any(process.is_alive() for process in processes)
 
 
 class TestSummarize:

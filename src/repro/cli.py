@@ -25,7 +25,7 @@ Subcommands
 ``analyze``
     Reuse-distance / pattern analysis of an application or trace file.
 ``cache``
-    Inspect or clear the persistent result/trace cache.
+    Inspect or clear the persistent result cache.
 ``check``
     Correctness tooling: ``check invariants APP [POLICY] [RATE]`` runs
     one simulation under the runtime sanitizer; ``check determinism``
@@ -90,11 +90,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--apps", type=str, default=None,
                         help="comma-separated subset of applications")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for matrix runs "
+                        help="worker processes for matrix runs, forked "
+                             "once per process, not per matrix "
                              "(default: REPRO_JOBS or serial; "
                              "0 = all cores)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent result/trace cache "
+                        help="bypass the persistent result cache "
                              "for this invocation")
     parser.add_argument("--obs", action="store_true",
                         help="enable the observability layer (metrics "
@@ -211,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ana_p)
 
     cache_p = sub.add_parser(
-        "cache", help="inspect or clear the persistent result/trace cache"
+        "cache", help="inspect or clear the persistent result cache"
     )
     cache_p.add_argument("action", choices=["info", "clear"],
                          help="info: show location and entry counts; "
-                              "clear: delete every cached result and trace")
+                              "clear: delete every cached result")
 
     check_p = sub.add_parser(
         "check",
@@ -1031,8 +1032,7 @@ def _dispatch(parser: argparse.ArgumentParser,
             info = sim_cache.describe()
             sim_cache.clear_all()
             clear_trace_cache()
-            print(f"cleared {info['results']} cached results and "
-                  f"{info['traces']} cached traces "
+            print(f"cleared {info['results']} cached results "
                   f"under {info['directory']}")
             return 0
         info = sim_cache.describe()
@@ -1041,8 +1041,6 @@ def _dispatch(parser: argparse.ArgumentParser,
         print(f"schema        : v{info['schema_version']}")
         print(f"cached results: {info['results']} "
               f"({info['result_bytes'] / 1024:.1f} KiB)")
-        print(f"cached traces : {info['traces']} "
-              f"({info['trace_bytes'] / 1024:.1f} KiB)")
         return 0
 
     if args.command == "check":

@@ -10,6 +10,8 @@ capacity with the paper's fixed ``m_c = 128``.
 
 from __future__ import annotations
 
+import atexit
+import contextvars
 import math
 import os
 import signal
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.core.hpe import HPEConfig, HPEPolicy
+from repro import check as check_module
 from repro import obs as obs_module
 from repro import resil as resil_module
 from repro.obs import MetricsRegistry, Observation
@@ -80,18 +83,6 @@ PAPER_RATES = (0.75, 0.50)
 #: :func:`run_matrix` (``0`` means "one worker per CPU").
 ENV_JOBS = "REPRO_JOBS"
 
-#: Environment variable gating trace sharing in parallel matrices
-#: (default on; ``0``/``false``/``off`` disable): the parent builds each
-#: trace once, forked workers inherit it and workers of other start
-#: methods map it from a shared-memory store.
-ENV_SHARED_TRACES = "REPRO_SHARED_TRACES"
-
-
-def shared_traces_enabled() -> bool:
-    """Should parallel matrices share the parent's traces with workers?"""
-    raw = os.environ.get(ENV_SHARED_TRACES, "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
 
 def make_policy(
     name: str,
@@ -140,11 +131,13 @@ class RunKey:
 class TraceCache:
     """In-memory LRU of built traces per (abbr, seed, scale).
 
-    Misses fall through to the persistent disk memo
-    (:func:`repro.sim.cache.load_or_build_trace`), so a trace is
-    generated at most once per machine.  The in-memory layer is bounded:
-    the full 23-application suite fits comfortably, but long-lived
-    sessions sweeping seeds/scales no longer grow without limit.
+    A miss builds the trace: building is cheaper than reading a stored
+    copy back, so nothing is written to disk.  Each process keeps its
+    own cache (a pool worker fills its own as it runs cells) and, since
+    a trace is a pure function of its key, no entry can go stale.  The
+    cache is bounded: the full 23-application suite fits comfortably,
+    but long-lived sessions sweeping seeds/scales do not grow without
+    limit.
     """
 
     #: Default bound — the whole suite at two (seed, scale) settings.
@@ -155,14 +148,6 @@ class TraceCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._cache: OrderedDict[tuple[str, int, float], Trace] = OrderedDict()
-        #: Optional :class:`repro.workloads.trace_io.TraceStore` consulted
-        #: on a miss before the disk memo (worker processes of a parallel
-        #: matrix attach the parent's published store here).
-        self.store = None
-
-    def attach_store(self, store) -> None:
-        """Serve future misses from a shared-memory trace store first."""
-        self.store = store
 
     def get(self, abbr: str, seed: int = DEFAULT_SEED, scale: float = 1.0) -> Trace:
         key = (abbr.upper(), seed, scale)
@@ -170,10 +155,7 @@ class TraceCache:
         if trace is not None:
             self._cache.move_to_end(key)
             return trace
-        if self.store is not None:
-            trace = self.store.get(abbr, seed, scale)
-        if trace is None:
-            trace = sim_cache.load_or_build_trace(abbr, seed, scale)
+        trace = get_application(abbr).build(seed=seed, scale=scale)
         self._cache[key] = trace
         while len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)
@@ -239,6 +221,16 @@ def run_application(
     )
 
 
+#: True while :func:`_run_job` runs a cell.  The matrix that dispatched
+#: the cell looked it up and missed, so :func:`run_spec` simulates and
+#: stores without a second lookup: a long-lived worker's own memory
+#: layer could still hold a copy whose disk entry was deleted since, and
+#: answering from it would leave the entry missing for good.
+_DISPATCHED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "dispatched", default=False
+)
+
+
 def run_spec(
     spec: ScenarioSpec,
     *,
@@ -250,7 +242,9 @@ def run_spec(
     The cached entry point: the result is memoised under
     ``spec.digest()`` — the SHA-256 of the spec's canonical identity
     string — so every caller that goes through a spec shares entries by
-    construction.  See :func:`run_application` for the ``obs`` contract.
+    construction.  A cell a matrix dispatched (:func:`_run_job`) is not
+    looked up again, only simulated and stored.  See
+    :func:`run_application` for the ``obs`` contract.
     """
     if spec.family != PAPER_FAMILY:
         raise ScenarioError(
@@ -269,7 +263,7 @@ def run_spec(
     if observation is not None:
         caching = False
     digest = spec.digest()
-    if caching:
+    if caching and not _DISPATCHED.get():
         cached = sim_cache.result_cache().get(digest)
         if cached is not None:
             return cached
@@ -404,49 +398,28 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-#: Worker-process memo of the attached shared trace store, keyed by the
-#: segment name so successive jobs of one matrix attach exactly once.
-_ATTACHED_STORE: Optional[tuple[str, object]] = None
-
-
-def _attach_shared_traces(handle) -> None:
-    """Attach the parent's trace store in this worker (idempotent).
-
-    Any failure to attach is silent — the worker simply builds traces
-    itself, exactly as it would with no store published.
-    """
-    global _ATTACHED_STORE
-    if _ATTACHED_STORE is not None and _ATTACHED_STORE[0] == handle.shm_name:
-        return
-    from repro.workloads.trace_io import TraceStore
-
-    store = TraceStore.attach(handle)
-    if store is None:
-        return
-    # Worker-local memo by design: each worker attaches its own view of
-    # the shared-memory store; nothing must propagate back to the parent.
-    _ATTACHED_STORE = (handle.shm_name, store)  # noqa: REP011
-    _TRACES.attach_store(store)
-
-
 def _run_job(job: tuple) -> SimulationResult:
     """Supervisor entry point: one scenario-cell simulation.
 
     Runs in a worker process, or in this process when ``jobs=1``.
     Lives at module level so it pickles under any multiprocessing start
-    method.  Only the frozen :class:`ScenarioSpec` and (optionally) a
-    shared-memory trace store handle cross the process boundary inbound
-    — the worker maps the parent's published traces, or builds its own
-    when there is no store — and only the :class:`SimulationResult`
-    crosses back.
+    method.  Only the frozen :class:`ScenarioSpec` and the observe flag
+    cross the process boundary inbound — the worker builds the traces
+    it needs into its own :class:`TraceCache` — and only the
+    :class:`SimulationResult` crosses back.  The caller already looked
+    the cell up, so it is simulated and stored, never served from this
+    process's cache.
     """
-    cell, observe, handle = job
-    if handle is not None:
-        _attach_shared_traces(handle)
-    # Workers observe registry-only (obs=True): an Observation carrying
-    # an open JSONL handle must never cross the process boundary.  The
-    # registry travels back serialised inside ``extras["metrics"]``.
-    return run_spec(cell, obs=bool(observe))
+    cell, observe = job
+    token = _DISPATCHED.set(True)
+    try:
+        # Workers observe registry-only (obs=True): an Observation
+        # carrying an open JSONL handle must never cross the process
+        # boundary.  The registry travels back serialised inside
+        # ``extras["metrics"]``.
+        return run_spec(cell, obs=bool(observe))
+    finally:
+        _DISPATCHED.reset(token)
 
 
 def start_cell_pool(
@@ -467,6 +440,113 @@ def start_cell_pool(
     return WorkerSupervisor(
         _run_job, jobs, timeout=timeout, retries=retries, backoff=backoff,
     ).start()
+
+
+def _fork_state(
+    jobs: int,
+    timeout: Optional[float],
+    retries: Optional[int],
+    backoff: Optional[float],
+) -> tuple:
+    """What a cell pool's workers copy at fork and a job does not carry.
+
+    Observation and chaos travel with each job; everything here is read
+    in the worker from the state it was forked with, or fixes the
+    pool's own behaviour.
+    """
+    settings = resil_module.resolve_settings(
+        worker_timeout=timeout, retries=retries, backoff=backoff
+    )
+    return (
+        jobs, settings.worker_timeout, settings.retries, settings.backoff,
+        sim_cache.cache_enabled(), sim_cache.cache_dir(),
+        check_module.sanitize_enabled(), check_module.sanitize_fast(),
+        check_module.sanitize_every(),
+        tuple(sorted(
+            (name, value) for name, value in os.environ.items()
+            if name.startswith("REPRO_")
+        )),
+    )
+
+
+class _CellPoolLender:
+    """The one long-lived cell pool a process lends to :func:`run_scenario`.
+
+    Started by the first ``jobs >= 2`` call that brings no pool of its
+    own and reused while :func:`_fork_state` is unchanged.  A call whose
+    state differs replaces the pool when it is idle, and otherwise gets
+    ``None`` (it builds a pool for itself), so no run is interrupted by
+    another caller's settings.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.pool: Optional[WorkerSupervisor] = None
+        self._state: tuple = ()
+        self._runs = 0
+
+    def borrow(
+        self,
+        jobs: int,
+        timeout: Optional[float],
+        retries: Optional[int],
+        backoff: Optional[float],
+    ) -> Optional[WorkerSupervisor]:
+        state = _fork_state(jobs, timeout, retries, backoff)
+        with self._lock:
+            if self.pool is not None and self._state != state:
+                if self._runs:
+                    return None
+                self._close_locked()
+            if self.pool is None:
+                self.pool = start_cell_pool(
+                    jobs, timeout=timeout, retries=retries, backoff=backoff,
+                )
+                self._state = state
+            self._runs += 1
+            return self.pool
+
+    def give_back(self, pool: WorkerSupervisor, interrupted: bool) -> None:
+        """End one run on ``pool``; an interrupted run that was the last
+        one on it closes it, as a per-call pool terminates its workers."""
+        with self._lock:
+            if pool is not self.pool:
+                return  # closed (and maybe replaced) while it ran
+            self._runs -= 1
+            if interrupted and not self._runs:
+                self._close_locked()
+
+    def close(self) -> None:
+        with self._lock:
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        if self.pool is not None:
+            self.pool.close()
+        self.pool = None
+        self._runs = 0
+
+    def forget(self) -> None:
+        """Drop the pool without touching it (a forked child's view of
+        its parent's pool: closing it would stop the parent's workers)."""
+        self._lock = threading.Lock()
+        self.pool = None
+        self._runs = 0
+
+
+_CELL_POOL = _CellPoolLender()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_CELL_POOL.forget)
+
+
+def close_cell_pool() -> None:
+    """Close the pool :func:`run_scenario` lends to ``jobs >= 2`` calls,
+    terminating its workers (a no-op when none is open).  The next such
+    call starts a new one; runs still on it are interrupted."""
+    _CELL_POOL.close()
+
+
+atexit.register(close_cell_pool)
 
 
 def matrix_run_id(
@@ -533,11 +613,12 @@ def run_matrix(
     ``timeout`` and up to ``retries`` extra attempts with exponential
     backoff, a crash or hang costs one retry (never the matrix), and
     results are folded in deterministic key order whatever the job
-    count.  ``jobs > 1`` runs the cells on that many worker processes
-    (traces are never pickled across the boundary); ``jobs=1`` runs
-    them in this process, where a SIGALRM interval timer enforces the
-    timeout (``REPRO_WORKER_TIMEOUT=0`` disables enforcement for both —
-    the documented escape hatch for debugging a slow cell).
+    count.  ``jobs > 1`` runs the cells on that many worker processes,
+    forked once per process rather than per matrix (see
+    :func:`run_scenario`), which build their own traces; ``jobs=1``
+    runs them in this process, where a SIGALRM interval timer enforces
+    the timeout (``REPRO_WORKER_TIMEOUT=0`` disables enforcement for
+    both — the documented escape hatch for debugging a slow cell).
 
     When the persistent cache is on (and the run is not observed), every
     completion is recorded in an append-only run journal keyed by the
@@ -594,13 +675,24 @@ def run_scenario(
     :func:`run_matrix` for the execution/retry/journal contract.
 
     ``supervisor`` sends the cells through a started long-lived pool
-    (:func:`start_cell_pool`) instead of one built for this call: the
-    pool's size, timeout, retries and backoff apply, so ``jobs``,
-    ``timeout``, ``retries`` and ``backoff`` are ignored, while
-    ``chaos`` and the ``resil.*`` gauges stay this call's.  No traces
-    are warmed or published for such a pool: its long-lived workers
-    fill their own bounded :class:`TraceCache`.  Closing the pool
-    interrupts the call (:class:`~repro.resil.MatrixInterrupted`).
+    (:func:`start_cell_pool`): the pool's size, timeout, retries and
+    backoff apply, so ``jobs``, ``timeout``, ``retries`` and ``backoff``
+    are ignored, while ``chaos`` and the ``resil.*`` gauges stay this
+    call's.  Closing the pool interrupts the call
+    (:class:`~repro.resil.MatrixInterrupted`).
+
+    Without one, ``jobs >= 2`` borrows the process's own long-lived
+    cell pool.  The first such call starts it; later calls reuse it
+    while the state its workers copied at fork is unchanged: the worker
+    count, the resolved timeout, retries and backoff, the result-cache
+    switch and directory, the sanitizer switches and every ``REPRO_*``
+    environment variable.  A call whose state differs closes the idle
+    pool and starts a new one, or, when another thread's run is on it,
+    runs on a pool of its own.  An interrupted run closes the borrowed
+    pool (unless another run is still on it); :func:`close_cell_pool`
+    closes it, and so does interpreter exit.  Long-lived workers build
+    the traces they use into their own :class:`TraceCache`; this
+    process builds none for them.
     """
     cells = spec.cells()
     keys = [
@@ -737,48 +829,48 @@ def run_scenario(
             except (ValueError, OSError, TypeError):
                 pass
 
-    # A pool built for this call picks its executor from ``jobs``: in
-    # this process for 1, worker processes for more — even when a
-    # single cell remains, since only a process can be killed when a
+    # Without a pool of its own, a jobs > 1 call borrows the process's
+    # long-lived one.  A pool built for this call picks its executor
+    # from ``jobs``: in this process for 1, worker processes for more
+    # (when the borrowed pool is busy under other settings) — even when
+    # a single cell remains, since only a process can be killed when a
     # cell hangs in C code.
     pool = supervisor
+    borrowed = None
+    if pool is None and jobs > 1:
+        pool = borrowed = _CELL_POOL.borrow(jobs, timeout, retries, backoff)
     if pool is None:
         pool = WorkerSupervisor(
             _run_job, jobs, timeout=timeout, retries=retries, backoff=backoff,
         )
     stats = SupervisorStats()
-    trace_store = None
+    interrupted = False
     previous_handler = install_sigterm()
     try:
-        if supervisor is None and jobs > 1:
-            trace_store = _share_traces(
-                remaining, seed=spec.seed, scale=spec.scale,
-                start_method=pool.start_method,
-            )
-        handle = trace_store.handle if trace_store is not None else None
-        # The observe flag travels in the payload: a spawn-context worker
-        # re-imports the world and loses any configure(enabled=True) made
-        # by the CLI in this process.
+        # The observe flag travels in the payload: a long-lived worker
+        # was forked before this call, and a spawn-context worker
+        # re-imports the world, so neither sees a configure(enabled=True)
+        # made by the CLI in this process.
         outcomes = pool.run(
             [
-                (job_keys[key], (cell_specs[key], observing, handle))
+                (job_keys[key], (cell_specs[key], observing))
                 for key in remaining
             ],
             on_outcome=on_outcome, chaos=chaos_spec, stats=stats,
         )
     except (KeyboardInterrupt, SupervisorInterrupted, _MatrixSigTerm) as exc:
-        # Clean shutdown: the workers of a per-call pool are already
-        # terminated (it shuts down in its finally), the journal gets
-        # its interruption record and fsync, and the caller gets a
-        # typed, resumable error.
+        # Clean shutdown: the workers are terminated (a per-call pool
+        # shuts down in its finally, a borrowed one is closed below),
+        # the journal gets its interruption record and fsync, and the
+        # caller gets a typed, resumable error.
+        interrupted = True
         finalize(interrupted=True)
         done = counts["done"] + counts["failed"]
         raise MatrixInterrupted(run_id, done, len(keys) - done) from exc
     finally:
         restore_sigterm(previous_handler)
-        if trace_store is not None:
-            trace_store.close()
-            trace_store.unlink()
+        if borrowed is not None:
+            _CELL_POOL.give_back(borrowed, interrupted)
 
     for key in remaining:
         outcome = outcomes[job_keys[key]]
@@ -801,38 +893,6 @@ def run_scenario(
         matrix.metrics.set_gauge("resil.completed_cells", len(matrix.results))
     finalize(interrupted=False)
     return matrix
-
-
-def _share_traces(
-    keys: Sequence[RunKey], *, seed: int, scale: float, start_method: str
-):
-    """Build the distinct traces ``keys`` need in the parent and hand
-    them to the workers; ``None`` when disabled or nothing was published.
-
-    The parent pays one build (or disk load) per application — which it
-    would pay anyway for any in-process cell.  Workers created by ``fork``
-    inherit the parent's warmed trace cache, so every trace they ask
-    for is an in-memory hit and nothing is published for them: a
-    segment would only start multiprocessing's resource tracker, whose
-    lock deadlocks a worker forked while another thread holds it (two
-    matrices started from concurrent threads).  Workers of any other
-    start method begin empty, so the traces are published over shared
-    memory and every worker maps the same read-only buffer instead of
-    regenerating its own copies; the caller closes and unlinks the
-    returned store.
-    """
-    if not shared_traces_enabled():
-        return None
-    traces = {}
-    for key in keys:
-        cache_key = (key.app, seed, scale)
-        if cache_key not in traces:
-            traces[cache_key] = _TRACES.get(key.app, seed, scale)
-    if start_method == "fork":
-        return None
-    from repro.workloads.trace_io import TraceStore
-
-    return TraceStore.publish(traces)
 
 
 #: Call sites that already warned about dropped mean inputs, keyed by

@@ -1,7 +1,7 @@
 """Atomic, durable, torn-write-detecting file persistence.
 
 Every persistent artefact the harness writes — result-cache entries,
-trace memos, run journals, ``BENCH_*.json`` reports — goes through this
+run journals, ``BENCH_*.json`` reports — goes through this
 module, so one crash-safety discipline covers them all:
 
 * **Atomicity** — payloads are written to a same-directory temp file and

@@ -1,19 +1,19 @@
-"""Persistent, content-addressed caching of simulation artefacts.
+"""Persistent, content-addressed caching of simulation results.
 
-Two artefact kinds are cached on disk so that repeated experiment runs —
-within one process, across processes of a parallel matrix, and across
-sessions — never redo work whose inputs have not changed:
+Results are cached on disk so that repeated experiment runs — within one
+process, across processes of a parallel matrix, and across sessions —
+never redo a simulation whose inputs have not changed.  A
+:class:`~repro.sim.results.SimulationResult` is keyed by a SHA-256
+fingerprint of everything that determines it: application, policy,
+oversubscription rate, trace seed and scale, the full
+:class:`~repro.sim.config.GPUConfig`, the
+:class:`~repro.core.hpe.HPEConfig` (for HPE runs), and a cache schema
+version.  Values are pickled whole (including the live policy object in
+``extras`` that the figure harnesses introspect).
 
-* **Simulation results** — a :class:`~repro.sim.results.SimulationResult`
-  is keyed by a SHA-256 fingerprint of everything that determines it:
-  application, policy, oversubscription rate, trace seed and scale, the
-  full :class:`~repro.sim.config.GPUConfig`, the
-  :class:`~repro.core.hpe.HPEConfig` (for HPE runs), and a cache schema
-  version.  Values are pickled whole (including the live policy object in
-  ``extras`` that the figure harnesses introspect).
-* **Built traces** — application traces are memoised through the
-  :mod:`repro.workloads.trace_io` interchange format, keyed by
-  (application, seed, scale), so a trace is generated once per machine.
+Built traces are not cached here: building one costs less than reading
+a stored copy back, so each process keeps only its in-memory
+:class:`repro.experiments.runner.TraceCache`.
 
 Environment variables
 ---------------------
@@ -32,7 +32,6 @@ read and is treated as a *miss* (recompute heals it), never a crash.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ from repro.resil import chaos as resil_chaos
 from repro.scenarios.spec import ScenarioSpec, stable_config_repr
 from repro.sim.config import GPUConfig
 from repro.sim.results import SimulationResult
-from repro.workloads.base import Trace
-from repro.workloads.trace_io import TraceFormatError, load_trace, save_trace
 
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry
@@ -114,8 +111,6 @@ class CacheStats:
     #: Entries whose checksum frame failed verification (torn writes);
     #: every one is also counted as a miss.
     result_corrupt: int = 0
-    trace_hits: int = 0
-    trace_misses: int = 0
 
     def observe_into(self, registry: MetricsRegistry) -> None:
         """Expose the tallies as gauges in a ``MetricsRegistry``.
@@ -128,8 +123,6 @@ class CacheStats:
         registry.set_gauge("cache.result_misses", self.result_misses)
         registry.set_gauge("cache.result_stores", self.result_stores)
         registry.set_gauge("cache.result_corrupt", self.result_corrupt)
-        registry.set_gauge("cache.trace_hits", self.trace_hits)
-        registry.set_gauge("cache.trace_misses", self.trace_misses)
 
 
 #: Backwards-compatible alias — the canonical implementation moved to
@@ -168,15 +161,6 @@ def fingerprint(
         hpe_config=hpe_config,
         prefetch_degree=prefetch_degree,
     ).digest()
-
-
-def trace_fingerprint(abbr: str, seed: int, scale: float) -> str:
-    """Content address of one built application trace."""
-    canonical = (
-        f"trace-schema={CACHE_SCHEMA_VERSION}|app={abbr.upper()}"
-        f"|seed={seed}|scale={scale!r}"
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -315,74 +299,13 @@ def store_result(digest: str, result: SimulationResult) -> None:
         pass  # an unwritable/unpicklable entry must never fail the run
 
 
-# ----------------------------------------------------------------------
-# Trace memoisation through the trace_io interchange format
-# ----------------------------------------------------------------------
-
-
-def trace_path(abbr: str, seed: int, scale: float) -> Path:
-    """Where the memoised trace for these build inputs lives."""
-    digest = trace_fingerprint(abbr, seed, scale)
-    return cache_dir() / "traces" / f"{abbr.upper()}-{digest[:16]}.trace.gz"
-
-
-def load_or_build_trace(abbr: str, seed: int, scale: float) -> Trace:
-    """Return the application trace, reading/writing the disk memo.
-
-    Falls back to a plain build whenever caching is off or the stored
-    file is unreadable; the returned trace is identical either way (the
-    simulator consumes only pages, name and pattern type, all of which
-    round-trip through :mod:`repro.workloads.trace_io`).
-    """
-    from repro.workloads.suite import get_application
-
-    cache = result_cache()
-    if cache_enabled():
-        path = trace_path(abbr, seed, scale)
-        if path.is_file():
-            try:
-                trace = load_trace(path)
-            except (TraceFormatError, OSError, EOFError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            else:
-                cache.stats.trace_hits += 1
-                return trace
-    cache.stats.trace_misses += 1
-    trace = get_application(abbr).build(seed=seed, scale=scale)
-    if cache_enabled():
-        try:
-            path = trace_path(abbr, seed, scale)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # The tmp name must keep the .gz suffix so save_trace compresses.
-            tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp.gz"
-            save_trace(trace, tmp)
-            resil_atomic.replace_into(tmp, path)
-        except OSError:
-            pass
-    return trace
-
-
 def clear_all() -> int:
-    """Remove every cached result and trace; return entries removed."""
-    removed = result_cache().clear()
-    traces = cache_dir() / "traces"
-    if traces.is_dir():
-        for entry in traces.glob("*.trace.gz"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    """Remove every cached result; return entries removed."""
+    return result_cache().clear()
 
 
 def describe() -> dict:
     """Summary of the cache state (CLI ``cache info``)."""
-    traces = cache_dir() / "traces"
-    trace_files = list(traces.glob("*.trace.gz")) if traces.is_dir() else []
     result_dir = result_cache().directory
     result_files = (
         list(result_dir.rglob("*.pkl")) if result_dir.is_dir() else []
@@ -393,6 +316,4 @@ def describe() -> dict:
         "schema_version": CACHE_SCHEMA_VERSION,
         "results": len(result_files),
         "result_bytes": sum(f.stat().st_size for f in result_files),
-        "traces": len(trace_files),
-        "trace_bytes": sum(f.stat().st_size for f in trace_files),
     }

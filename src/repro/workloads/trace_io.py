@@ -114,14 +114,13 @@ def load_trace(path: Union[str, Path]) -> Trace:
 
 # --- shared-memory trace store ------------------------------------------
 #
-# ``run_matrix`` workers all replay the same handful of traces.  Without
-# sharing, every worker process regenerates (or disk-loads and parses)
-# its own private copy of each trace.  The store below packs the built
-# traces once, in the parent, into a single read-only POSIX shared-memory
-# segment of little-endian int64 page numbers; workers map that one
-# buffer and materialise a trace at most once per process.  Everything
-# here is optional: any failure to create or attach a segment simply
-# falls back to the per-worker build path.
+# Processes that replay the same traces can share them instead of each
+# building its own copy.  The store below packs built traces once into a
+# single read-only POSIX shared-memory segment of little-endian int64
+# page numbers; other processes map that one buffer and materialise a
+# trace at most once each.  The matrix runner does not use it: its
+# long-lived workers build their own traces.  Any failure to create or
+# attach a segment returns ``None``.
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,20 @@ def _isolated_cache(tmp_path_factory):
     yield
 
 
+@pytest.fixture(autouse=True)
+def _close_borrowed_cell_pool():
+    """Close the cell pool ``run_scenario`` lends to ``jobs >= 2``
+    matrices after each test.
+
+    Its workers keep the state they were forked with, monkeypatches
+    included, so no test may run on a pool an earlier test started.
+    """
+    yield
+    from repro.experiments.runner import close_cell_pool
+
+    close_cell_pool()
+
+
 @pytest.fixture
 def geometry() -> PageSetGeometry:
     """Paper-default page-set geometry (16 pages per set)."""

@@ -7,16 +7,11 @@ import warnings
 import pytest
 
 from repro.core.hpe import HPEPolicy
-from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     ENV_JOBS,
-    ENV_SHARED_TRACES,
     POLICY_NAMES,
-    RunKey,
     TraceCache,
-    _share_traces,
     arithmetic_mean,
-    clear_trace_cache,
     geometric_mean,
     make_policy,
     resolve_jobs,
@@ -178,9 +173,9 @@ class TestParallelMatrix:
     def test_forked_workers_get_traces_without_shared_memory(
         self, tmp_path, monkeypatch
     ):
-        """Forked workers inherit the parent's warmed traces: a jobs=2
-        matrix creates no shared-memory segment, in the parent or in a
-        worker, and matches jobs=1 bit for bit."""
+        """Workers build their own traces: a jobs=2 matrix creates no
+        shared-memory segment, in the parent or in a worker, and matches
+        jobs=1 bit for bit."""
         from multiprocessing import shared_memory
 
         log = tmp_path / "segments.log"
@@ -195,7 +190,6 @@ class TestParallelMatrix:
 
         monkeypatch.setattr(shared_memory, "SharedMemory",
                             RecordingSharedMemory)
-        monkeypatch.delenv(ENV_SHARED_TRACES, raising=False)
         policies = ["lru", "hpe", "clock-pro"]
         sim_cache.configure(enabled=False)
         try:
@@ -211,43 +205,6 @@ class TestParallelMatrix:
         for key, expected in serial.results.items():
             actual = parallel.results[key]
             assert actual.key_metrics() == expected.key_metrics(), key
-
-
-class TestShareTraces:
-    KEYS = [RunKey("STN", "lru", 0.75), RunKey("HOT", "hpe", 0.75),
-            RunKey("STN", "hpe", 0.5)]
-
-    def test_fork_warms_the_parent_and_publishes_nothing(self, monkeypatch):
-        from repro.workloads.trace_io import TraceStore
-
-        published = []
-        monkeypatch.setattr(TraceStore, "publish",
-                            classmethod(lambda cls, t: published.append(t)))
-        monkeypatch.delenv(ENV_SHARED_TRACES, raising=False)
-        clear_trace_cache()
-        assert _share_traces(self.KEYS, seed=9, scale=0.1,
-                             start_method="fork") is None
-        assert published == []
-        assert len(runner_module._TRACES) == 2
-
-    def test_other_start_methods_publish_each_trace_once(self):
-        store = _share_traces(self.KEYS, seed=9, scale=0.1,
-                              start_method="spawn")
-        if store is None:
-            pytest.skip("shared memory unavailable on this host")
-        try:
-            assert sorted(store.keys()) == [("HOT", 9, 0.1), ("STN", 9, 0.1)]
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_disabled_sharing_neither_warms_nor_publishes(self, monkeypatch):
-        monkeypatch.setenv(ENV_SHARED_TRACES, "0")
-        clear_trace_cache()
-        for method in ("fork", "spawn"):
-            assert _share_traces(self.KEYS, seed=9, scale=0.1,
-                                 start_method=method) is None
-        assert len(runner_module._TRACES) == 0
 
 
 class TestTraceCache:

@@ -5,13 +5,11 @@ full 23-application suite and prints the reproduced rows, so
 ``pytest benchmarks/ --benchmark-only`` doubles as the reproduction run.
 
 Set ``REPRO_BENCH_SCALE`` (e.g. ``0.5``) or ``REPRO_BENCH_APPS``
-(comma-separated abbreviations) to shrink the runs during development,
-and ``REPRO_BENCH_JOBS`` to fan matrix benchmarks over worker processes.
+(comma-separated abbreviations) to shrink the runs during development.
 
 Benchmarks measure simulation cost, so the persistent result cache is
 bypassed for the benchmarked process (a cached rerun would measure a
-disk read); ``bench_matrix_wallclock`` opts back in explicitly because
-the cache is the thing it measures.
+disk read).
 """
 
 from __future__ import annotations
@@ -33,14 +31,6 @@ def bench_apps() -> Optional[list[str]]:
     if not raw:
         return None
     return [item.strip().upper() for item in raw.split(",") if item.strip()]
-
-
-def bench_jobs() -> int:
-    """Worker-process count for matrix benchmarks (env-overridable)."""
-    try:
-        return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    except ValueError:
-        return 1
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -11,15 +11,16 @@ Run with:  python examples/oversubscription_sweep.py
 """
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_application
+from repro.experiments.runner import ResultMatrix, run_scenario
+from repro.scenarios.spec import MatrixSpec
 
 
-def sweep(app: str, rates) -> list[list[object]]:
-    baseline = run_application(app, "lru", 1.0)
+def sweep(matrix: ResultMatrix, app: str, rates) -> list[list[object]]:
+    baseline = matrix.get(app, "lru", 1.0)
     rows = []
     for rate in rates:
-        lru = run_application(app, "lru", rate)
-        hpe = run_application(app, "hpe", rate)
+        lru = matrix.get(app, "lru", rate)
+        hpe = matrix.get(app, "hpe", rate)
         rows.append([
             f"{rate:.0%}",
             baseline.ipc / lru.ipc,
@@ -31,12 +32,15 @@ def sweep(app: str, rates) -> list[list[object]]:
 
 def main() -> None:
     rates = (0.95, 0.85, 0.75, 0.60, 0.50, 0.40)
+    # 1.0 is the fully-fitting baseline every slowdown is relative to.
+    matrix = run_scenario(MatrixSpec(("lru", "hpe"), (1.0,) + rates,
+                                     ("HSD", "HOT")))
     for app, story in (
         ("HSD", "thrashing stencil — LRU collapses as soon as the working "
                 "set stops fitting"),
         ("HOT", "pure streaming — any policy degrades gracefully"),
     ):
-        rows = sweep(app, rates)
+        rows = sweep(matrix, app, rates)
         print(format_table(
             ["memory", "LRU slowdown", "HPE slowdown", "HPE speedup"],
             rows,

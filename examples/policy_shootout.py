@@ -10,7 +10,8 @@ Run with:  python examples/policy_shootout.py
 """
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_application
+from repro.experiments.runner import run_scenario
+from repro.scenarios.spec import MatrixSpec
 
 #: One representative application per pattern type (Table II).
 REPRESENTATIVES = {
@@ -28,12 +29,15 @@ POLICIES = ("lru", "random", "rrip", "clock-pro", "arc", "car",
 
 def main() -> None:
     rate = 0.75
+    matrix = run_scenario(MatrixSpec(
+        ("ideal",) + POLICIES, (rate,), tuple(REPRESENTATIVES.values()),
+    ))
     rows = []
     for label, app in REPRESENTATIVES.items():
-        ideal = run_application(app, "ideal", rate)
+        ideal = matrix.get(app, "ideal", rate)
         row = [f"{app} {label}"]
         for policy in POLICIES:
-            result = run_application(app, policy, rate)
+            result = matrix.get(app, policy, rate)
             row.append(result.evictions / max(1, ideal.evictions))
         rows.append(row)
     print(format_table(

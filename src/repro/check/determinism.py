@@ -90,18 +90,17 @@ def check_determinism(
     trivially compare equal) and can optionally run sanitized.
     """
     from repro import check as check_module
-    from repro.experiments.runner import DEFAULT_SEED, run_application
+    from repro.experiments.runner import run_spec
+    from repro.scenarios.spec import DEFAULT_SEED, ScenarioSpec
 
     if seed is None:
         seed = DEFAULT_SEED
+    spec = ScenarioSpec(app, policy, rate, seed=seed, scale=scale)
     if sanitize:
         check_module.configure(enabled=True)
     try:
         runs: list[dict[str, Any]] = [
-            run_application(
-                app, policy, rate, seed=seed, scale=scale, use_cache=False
-            ).key_metrics()
-            for _ in range(2)
+            run_spec(spec, use_cache=False).key_metrics() for _ in range(2)
         ]
     finally:
         if sanitize:

@@ -307,7 +307,7 @@ class _FileLinter(ast.NodeVisitor):
         self._report(
             node, "REP007",
             f"raw {target}() — persistent writes must go through "
-            "repro.resil.atomic (atomic_write_* / replace_into) so "
+            "repro.resil.atomic (atomic_write_*) so "
             "fsync + checksum discipline stays in one place",
         )
 

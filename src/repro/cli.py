@@ -72,13 +72,18 @@ from repro.experiments.runner import (
     ENV_JOBS,
     POLICY_NAMES,
     clear_trace_cache,
-    run_application,
+    run_spec,
 )
 from repro.experiments.sensitivity import SENSITIVITIES
 from repro.experiments.tables import TABLES
 from repro import obs as obs_module
+from repro.scenarios.spec import ScenarioSpec
 from repro.sim import cache as sim_cache
-from repro.workloads.suite import all_applications, get_application
+from repro.workloads.suite import (
+    APPLICATION_ORDER,
+    all_applications,
+    get_application,
+)
 from repro.workloads.trace_io import load_trace, save_trace
 
 
@@ -466,9 +471,9 @@ def _event_trace(args: argparse.Namespace) -> int:
     out = args.out or f"{app}-{policy}-{int(rate * 100)}.events.jsonl"
     sink = JSONLEventTrace(out, validate=True)
     with Observation(trace=sink) as observation:
-        result = run_application(
-            app, policy, rate,
-            seed=args.seed, scale=args.scale, obs=observation,
+        result = run_spec(
+            ScenarioSpec(app, policy, rate, seed=args.seed, scale=args.scale),
+            obs=observation,
         )
     count = validate_file(out)
     summary = summarize_events(read_events(out))
@@ -503,9 +508,10 @@ def _dump_stats(args: argparse.Namespace) -> int:
             print(line)
         return 0
     with Observation() as observation:
-        run_application(
-            args.app_pos.upper(), args.policy_pos, args.rate_pos,
-            seed=args.seed, scale=args.scale, obs=observation,
+        run_spec(
+            ScenarioSpec(args.app_pos, args.policy_pos, args.rate_pos,
+                         seed=args.seed, scale=args.scale),
+            obs=observation,
         )
     for line in observation.registry.lines():
         print(line)
@@ -842,9 +848,9 @@ def _run_check(args: argparse.Namespace) -> int:
     check_module.configure(enabled=True, fast=args.fast)
     start = time.time()
     try:
-        result = run_application(
-            app, policy, rate,
-            seed=args.seed, scale=args.scale, use_cache=False,
+        result = run_spec(
+            ScenarioSpec(app, policy, rate, seed=args.seed, scale=args.scale),
+            use_cache=False,
         )
     except InvariantViolation as violation:
         print(violation.render())
@@ -877,7 +883,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _dispatch(parser, args)
     except MatrixInterrupted as interrupted:
-        # Clean shutdown already happened inside run_matrix (pool
+        # Clean shutdown already happened inside run_scenario (pool
         # terminated, journal flushed); tell the user how to pick up.
         print(f"\ninterrupted: {interrupted}", file=sys.stderr)
         print(f"resume with: hpe-repro resume {interrupted.run_id}",
@@ -1012,6 +1018,15 @@ def _run_watch(args: argparse.Namespace) -> int:
 
 def _dispatch(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
+    # Refuse an unknown --apps name before any cell runs (a matrix would
+    # retry the missing workload, then the renderer would fail on it).
+    unknown = [app for app in _apps_arg(getattr(args, "apps", None)) or ()
+               if app not in APPLICATION_ORDER]
+    if unknown:
+        print(f"{args.command}: unknown application(s) {', '.join(unknown)} "
+              f"(known: {', '.join(APPLICATION_ORDER)})", file=sys.stderr)
+        return 2
+
     if args.command == "serve":
         return _run_serve(parser, args)
 
@@ -1087,10 +1102,9 @@ def _dispatch(parser: argparse.ArgumentParser,
 
     if args.command == "run":
         start = time.time()
-        result = run_application(
-            args.app, args.policy, args.rate,
-            seed=args.seed, scale=args.scale,
-        )
+        result = run_spec(ScenarioSpec(
+            args.app, args.policy, args.rate, seed=args.seed, scale=args.scale,
+        ))
         elapsed = time.time() - start
         print(f"workload         : {result.workload_name}")
         print(f"policy           : {result.policy_name}")

@@ -24,13 +24,7 @@ from repro.core.pageset import (
     primary_key,
     secondary_key,
 )
-from repro.core.strategies import (
-    SearchResult,
-    StrategyKind,
-    select,
-    select_lru,
-    select_mru_c,
-)
+from repro.core.strategies import StrategyKind
 
 __all__ = [
     "AdjustmentStats",
@@ -48,7 +42,6 @@ __all__ = [
     "HistoryBuffer",
     "PageSetChain",
     "PageSetEntry",
-    "SearchResult",
     "SetPart",
     "StrategyKind",
     "StrategySegment",
@@ -56,7 +49,4 @@ __all__ = [
     "classify",
     "primary_key",
     "secondary_key",
-    "select",
-    "select_lru",
-    "select_mru_c",
 ]

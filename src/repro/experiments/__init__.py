@@ -34,8 +34,6 @@ from repro.experiments.runner import (
     arithmetic_mean,
     geometric_mean,
     make_policy,
-    run_application,
-    run_matrix,
 )
 from repro.experiments.sensitivity import (
     SENSITIVITIES,
@@ -76,8 +74,6 @@ __all__ = [
     "hir_storage",
     "make_policy",
     "prefetch",
-    "run_application",
-    "run_matrix",
     "search_cost",
     "table1",
     "table2",

@@ -20,16 +20,18 @@ mechanism contributes to HPE's headline speedup over LRU:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.core.hpe import HPEConfig
 from repro.core.strategies import StrategyKind
-from repro.experiments.figures import FigureResult, _apps
+from repro.experiments.figures import FigureResult, _apps, _degraded_notes
 from repro.experiments.runner import (
     DEFAULT_SEED,
     arithmetic_mean,
-    run_application,
+    run_scenario,
 )
+from repro.scenarios.spec import MatrixSpec
 
 
 #: Ablation variant name → HPE configuration.  ``no-hits`` sets a
@@ -54,7 +56,11 @@ def ablation(
     seed: int = DEFAULT_SEED,
     scale: float = 1.0,
 ) -> FigureResult:
-    """Mean HPE-over-LRU speedup and eviction ratio per variant."""
+    """Mean HPE-over-LRU speedup and eviction ratio per variant.
+
+    An application whose LRU or HPE cell failed is left out of its
+    variant's row (and flagged in the notes).
+    """
     apps = _apps(apps)
     names = list(variants) if variants is not None else list(VARIANTS)
     unknown = [name for name in names if name not in VARIANTS]
@@ -63,32 +69,35 @@ def ablation(
             f"unknown ablation variant(s) {unknown}; "
             f"known: {', '.join(VARIANTS)}"
         )
-    lru = {
-        app: run_application(app, "lru", rate, seed=seed, scale=scale)
-        for app in apps
-    }
+    lru = run_scenario(MatrixSpec(
+        ("lru",), (rate,), tuple(apps), seed=seed, scale=scale,
+    ))
+    failed = lru.failure_lines()
     rows: list[list[object]] = []
     for name in names:
+        hpe = run_scenario(MatrixSpec(
+            ("hpe",), (rate,), tuple(apps), seed=seed, scale=scale,
+            hpe_config=VARIANTS[name],
+        ))
+        failed += hpe.failure_lines()
         speedups: list[float] = []
         eviction_ratios: list[float] = []
         for app in apps:
-            result = run_application(
-                app, "hpe", rate, seed=seed, scale=scale,
-                hpe_config=VARIANTS[name],
-            )
-            speedups.append(result.speedup_over(lru[app]))
-            eviction_ratios.append(
-                result.evictions_normalized_to(lru[app])
-            )
+            base = lru.lookup(app, "lru", rate)
+            result = hpe.lookup(app, "hpe", rate)
+            if base is not None and result is not None:
+                speedups.append(result.speedup_over(base))
+                eviction_ratios.append(result.evictions_normalized_to(base))
         rows.append([
             name,
             arithmetic_mean(speedups),
-            min(speedups),
+            min(speedups, default=math.nan),
             arithmetic_mean(eviction_ratios),
         ])
     return FigureResult(
         "Ablation", f"HPE design-choice ablations vs LRU ({rate:.0%} OS)",
         ["variant", "mean speedup", "worst app", "evictions/LRU"], rows,
         ["'full' is the evaluated configuration; each other row removes "
-         "or replaces one mechanism from DESIGN.md"],
+         "or replaces one mechanism from DESIGN.md"]
+        + _degraded_notes(failed),
     )

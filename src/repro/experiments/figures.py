@@ -1,19 +1,25 @@
 """Harnesses regenerating every figure of the paper's evaluation.
 
-Each ``figureN`` function runs the simulations it needs and returns a
+Each ``figureN`` function builds the
+:class:`~repro.scenarios.spec.MatrixSpec` grids it needs, runs them
+through :func:`~repro.experiments.runner.run_scenario` and returns a
 :class:`FigureResult` whose rows mirror the series the paper plots; call
-:meth:`FigureResult.render` for a text table.  Absolute numbers differ
-from the paper (different substrate, scaled footprints) — the *shape*
-(who wins, by roughly what factor, where crossovers fall) is the
-reproduction target, recorded in EXPERIMENTS.md.
+:meth:`FigureResult.render` for a text table.  A cell whose retries were
+exhausted never raises: its values render as NaN, its text as ``-``, and
+the figure's notes flag it as DEGRADED.
+Absolute numbers differ from the paper (different substrate, scaled
+footprints) — the *shape* (who wins, by roughly what factor, where
+crossovers fall) is the reproduction target, recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.hpe import HPEConfig
+from repro.core.hpe import HPEConfig, HPEPolicy
 from repro.core.strategies import StrategyKind
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
@@ -22,9 +28,9 @@ from repro.experiments.runner import (
     ResultMatrix,
     arithmetic_mean,
     geometric_mean,
-    run_application,
-    run_matrix,
+    run_scenario,
 )
+from repro.scenarios.spec import MatrixSpec
 from repro.workloads.base import PatternType
 from repro.workloads.suite import (
     APPLICATION_ORDER,
@@ -56,15 +62,22 @@ def _apps(apps: Optional[Sequence[str]]) -> list[str]:
     return list(apps) if apps is not None else list(APPLICATION_ORDER)
 
 
-def _degraded_notes(matrix: ResultMatrix) -> list[str]:
-    """Flag every failed cell so a degraded figure is never mistaken
-    for a complete one (ratios touching those cells render as NaN)."""
-    if not matrix.degraded:
+def _degraded_notes(failure_lines: Sequence[str]) -> list[str]:
+    """Flag every failed cell of the matrices a harness ran (their
+    :meth:`~ResultMatrix.failure_lines`), so a degraded figure is never
+    mistaken for a complete one."""
+    if not failure_lines:
         return []
     return [
-        f"DEGRADED: {len(matrix.failures)} cell(s) failed after retries; "
-        "affected ratios are NaN and excluded from means"
-    ] + [f"DEGRADED: {line}" for line in matrix.failure_lines()]
+        f"DEGRADED: {len(failure_lines)} cell(s) failed after retries; "
+        "affected values are NaN and excluded from means"
+    ] + [f"DEGRADED: {line}" for line in failure_lines]
+
+
+def _hpe(matrix: ResultMatrix, app: str, rate: float) -> Optional[HPEPolicy]:
+    """The HPE policy object of one cell, or ``None`` when it failed."""
+    result = matrix.lookup(app, "hpe", rate)
+    return None if result is None else result.extras["policy"]
 
 
 def _pattern(app: str) -> str:
@@ -103,8 +116,9 @@ def figure3(
 ) -> FigureResult:
     """Motivation: LRU/RRIP evictions over Belady's MIN at 75% OS."""
     apps = _apps(apps)
-    matrix = run_matrix(["ideal", "lru", "rrip"], rates=[0.75], apps=apps,
-                        seed=seed, scale=scale)
+    matrix = run_scenario(MatrixSpec(
+        ("ideal", "lru", "rrip"), (0.75,), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     lru_ratios, rrip_ratios = [], []
     for app in apps:
@@ -120,7 +134,7 @@ def figure3(
         ["app", "type", "LRU/Ideal", "RRIP/Ideal"], rows,
         ["paper shape: RRIP thrashes on SRD/HSD; LRU fine for type I "
          "(except GEM) and type VI; both poor for BFS/HIS/SPV"]
-        + _degraded_notes(matrix),
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -136,24 +150,29 @@ def _sensitivity_by_type(
     seed: int,
     scale: float,
     rate: float = 0.75,
-) -> tuple[list[list[object]], list[int]]:
-    """Average per-pattern-type IPC for each config, normalised."""
+) -> tuple[list[list[object]], list[int], list[str]]:
+    """Average per-pattern-type IPC for each config, normalised.
+
+    The forced strategy depends on the application, so each config runs
+    one matrix per :data:`MANUAL_STRATEGY` group.  Also returns the
+    failure lines of every matrix.
+    """
     values = sorted(configs)
     ipc: dict[tuple[str, int], float] = {}
+    failed: list[str] = []
     for value, config in configs.items():
-        for app in apps:
-            result = run_application(
-                app, "hpe", rate, seed=seed, scale=scale,
-                hpe_config=HPEConfig(
-                    page_set_size=config.page_set_size,
-                    interval_length=config.interval_length,
-                    transfer_interval=config.transfer_interval,
-                    use_hir=config.use_hir,
-                    enable_adjustment=config.enable_adjustment,
-                    forced_strategy=_forced(app),
-                ),
-            )
-            ipc[(app, value)] = result.ipc
+        for kind in StrategyKind:
+            group = tuple(app for app in apps if _forced(app) is kind)
+            if not group:
+                continue
+            matrix = run_scenario(MatrixSpec(
+                ("hpe",), (rate,), group, seed=seed, scale=scale,
+                hpe_config=dataclasses.replace(config, forced_strategy=kind),
+            ))
+            failed += matrix.failure_lines()
+            for app in group:
+                result = matrix.lookup(app, "hpe", rate)
+                ipc[(app, value)] = math.nan if result is None else result.ipc
     rows: list[list[object]] = []
     for pattern in PatternType:
         members = [a for a in apps if APPLICATIONS[a].pattern_type is pattern]
@@ -171,7 +190,7 @@ def _sensitivity_by_type(
         mean_ipc = arithmetic_mean(ipc[(a, value)] for a in apps)
         row.append(mean_ipc / overall_base if overall_base else 0.0)
     rows.append(row)
-    return rows, values
+    return rows, values, failed
 
 
 def figure7(
@@ -186,12 +205,15 @@ def figure7(
         size: _manual_config(page_set_size=size, interval_length=64)
         for size in sizes
     }
-    rows, values = _sensitivity_by_type(configs, values_base(sizes), apps, seed, scale)
+    rows, values, failed = _sensitivity_by_type(
+        configs, values_base(sizes), apps, seed, scale
+    )
     return FigureResult(
         "Fig.7", "Sensitivity to page set size (IPC normalised to size "
         f"{values_base(sizes)})",
         ["pattern"] + [f"size {v}" for v in values], rows,
-        ["paper shape: all sizes within ~10%; 16 chosen as a compromise"],
+        ["paper shape: all sizes within ~10%; 16 chosen as a compromise"]
+        + _degraded_notes(failed),
     )
 
 
@@ -207,12 +229,15 @@ def figure8(
         length: _manual_config(page_set_size=16, interval_length=length)
         for length in lengths
     }
-    rows, values = _sensitivity_by_type(configs, values_base(lengths), apps, seed, scale)
+    rows, values, failed = _sensitivity_by_type(
+        configs, values_base(lengths), apps, seed, scale
+    )
     return FigureResult(
         "Fig.8", "Sensitivity to interval length (IPC normalised to "
         f"length {values_base(lengths)})",
         ["pattern"] + [f"len {v}" for v in values], rows,
-        ["paper shape: all lengths within ~12%; 64 chosen"],
+        ["paper shape: all lengths within ~12%; 64 chosen"]
+        + _degraded_notes(failed),
     )
 
 
@@ -234,10 +259,15 @@ def figure9(
 ) -> FigureResult:
     """Classification statistics when memory first fills."""
     apps = _apps(apps)
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), (rate,), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     for app in apps:
-        result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-        policy = result.extras["policy"]
+        policy = _hpe(matrix, app, rate)
+        if policy is None:
+            rows.append([app, _pattern(app), math.nan, math.nan, "-"])
+            continue
         classification = policy.classification
         if classification is None:
             rows.append([app, _pattern(app), "-", "-", "(memory never filled)"])
@@ -253,7 +283,8 @@ def figure9(
         "Fig.9", f"ratio1 / ratio2 at first-full ({rate:.0%} OS; 999 = inf)",
         ["app", "type", "ratio1", "ratio2", "category"], rows,
         ["paper shape: types I-III small ratios (KMN/SAD outliers); "
-         "types IV-VI large ratio1 or ratio2 (SGM outlier)"],
+         "types IV-VI large ratio1 or ratio2 (SGM outlier)"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -267,12 +298,12 @@ def figure10(
     rates: Sequence[float] = PAPER_RATES,
     seed: int = DEFAULT_SEED,
     scale: float = 1.0,
-    matrix: Optional[ResultMatrix] = None,
 ) -> FigureResult:
     """HPE's IPC speedup over LRU per application and rate."""
     apps = _apps(apps)
-    matrix = matrix or run_matrix(["lru", "hpe"], rates=rates, apps=apps,
-                                  seed=seed, scale=scale)
+    matrix = run_scenario(MatrixSpec(
+        ("lru", "hpe"), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     means: dict[float, list[float]] = {rate: [] for rate in rates}
     for app in apps:
@@ -288,7 +319,7 @@ def figure10(
         "Fig.10", "HPE speedup over LRU (IPC ratio)",
         ["app", "type"] + [f"{r:.0%}" for r in rates], rows,
         ["paper: mean 1.34x @75%, 1.16x @50%, max 2.81x (HSD)"]
-        + _degraded_notes(matrix),
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -297,12 +328,12 @@ def figure11(
     rates: Sequence[float] = PAPER_RATES,
     seed: int = DEFAULT_SEED,
     scale: float = 1.0,
-    matrix: Optional[ResultMatrix] = None,
 ) -> FigureResult:
     """HPE's evictions relative to LRU per application and rate."""
     apps = _apps(apps)
-    matrix = matrix or run_matrix(["lru", "hpe"], rates=rates, apps=apps,
-                                  seed=seed, scale=scale)
+    matrix = run_scenario(MatrixSpec(
+        ("lru", "hpe"), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     means: dict[float, list[float]] = {rate: [] for rate in rates}
     for app in apps:
@@ -317,7 +348,7 @@ def figure11(
         "Fig.11", "HPE evictions normalised to LRU",
         ["app", "type"] + [f"{r:.0%}" for r in rates], rows,
         ["paper: HPE evicts 18% fewer pages @75%, 12% fewer @50%"]
-        + _degraded_notes(matrix),
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -331,13 +362,13 @@ def figure12(
     rates: Sequence[float] = PAPER_RATES,
     seed: int = DEFAULT_SEED,
     scale: float = 1.0,
-    matrix: Optional[ResultMatrix] = None,
 ) -> FigureResult:
     """IPC and evictions of every policy normalised to Ideal."""
     apps = _apps(apps)
     policies = ["ideal", "lru", "random", "rrip", "clock-pro", "hpe"]
-    matrix = matrix or run_matrix(policies, rates=rates, apps=apps,
-                                  seed=seed, scale=scale)
+    matrix = run_scenario(MatrixSpec(
+        tuple(policies), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     compared = policies[1:]
     rows: list[list[object]] = []
     for rate in rates:
@@ -360,8 +391,8 @@ def figure12(
         ["rate", "policy", "IPC/Ideal", "evictions/Ideal"], rows,
         ["paper @75%: HPE within 11% of Ideal IPC, 18% more evictions; "
          "1.16x/1.27x/1.2x over random/RRIP/CLOCK-Pro",
-         "per-app data available via run_matrix for deeper analysis"]
-        + _degraded_notes(matrix),
+         "per-app data available via run_scenario for deeper analysis"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -378,11 +409,16 @@ def figure13(
 ) -> FigureResult:
     """Fraction of execution (in faults) spent under each strategy."""
     apps = _apps(apps)
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     for rate in rates:
         for app in apps:
-            result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-            policy = result.extras["policy"]
+            policy = _hpe(matrix, app, rate)
+            if policy is None:
+                rows.append([f"{app} {rate:.0%}", "-"] + [math.nan] * 4)
+                continue
             if policy.adjustment is None:
                 rows.append([f"{app} {rate:.0%}", "-", 0.0, 0.0, 0, 0])
                 continue
@@ -407,7 +443,8 @@ def figure13(
         ["app@rate", "category", "LRU", "MRU-C", "switches", "jumps"], rows,
         ["paper: KMN/NW/B+T/HYB/SPV/MVT pure LRU; "
          "HOT/BKP/PAT/LEU/CUT/MRQ/STN/2DC/GEM pure MRU-C; "
-         "SRD/BFS/SAD/HIS adjust at both rates; DWT/HSD/SGM only at 50%"],
+         "SRD/BFS/SAD/HIS adjust at both rates; DWT/HSD/SGM only at 50%"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -428,11 +465,16 @@ def figure14(
     as in the paper.
     """
     apps = _apps(apps)
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     for rate in rates:
         for app in apps:
-            result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-            policy = result.extras["policy"]
+            policy = _hpe(matrix, app, rate)
+            if policy is None:
+                rows.append([f"{app} {rate:.0%}"] + [math.nan] * 3)
+                continue
             adjustment = policy.adjustment
             if adjustment is None:
                 continue
@@ -451,7 +493,8 @@ def figure14(
     return FigureResult(
         "Fig.14", "Average MRU-C search overhead (comparisons per search)",
         ["app@rate", "mean", "max", "searches"], rows,
-        ["paper: typically < 50 comparisons, outliers BFS and HIS"],
+        ["paper: typically < 50 comparisons, outliers BFS and HIS"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -468,11 +511,16 @@ def figure15(
 ) -> FigureResult:
     """Average populated HIR entries shipped per transfer."""
     apps = _apps(apps)
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     for rate in rates:
         for app in apps:
-            result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-            policy = result.extras["policy"]
+            policy = _hpe(matrix, app, rate)
+            if policy is None:
+                rows.append([f"{app} {rate:.0%}"] + [math.nan] * 3)
+                continue
             stats = policy.hir.stats
             rows.append([
                 f"{app} {rate:.0%}",
@@ -484,7 +532,8 @@ def figure15(
         "Fig.15", "HIR entries transferred per transfer (mean)",
         ["app@rate", "mean entries", "transfers", "way conflicts"], rows,
         ["paper: fewer than ten entries for most applications; MVT the "
-         "outlier (139) due to its stride-4 pages"],
+         "outlier (139) due to its stride-4 pages"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 

@@ -13,17 +13,24 @@ Three quantities back the paper's "HPE is cheap" argument:
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional, Sequence
 
 from repro.core.classifier import classify
 from repro.core.hir import ENTRY_BYTES
-from repro.experiments.figures import FigureResult, _apps
+from repro.experiments.figures import (
+    FigureResult,
+    _apps,
+    _degraded_notes,
+    _hpe,
+)
 from repro.experiments.runner import (
     DEFAULT_SEED,
     arithmetic_mean,
-    run_application,
+    run_scenario,
 )
+from repro.scenarios.spec import MatrixSpec
 from repro.sim.config import GPUConfig
 
 #: Bytes to record one page address in the naive buffer (48-bit address).
@@ -39,14 +46,23 @@ def hir_storage(
     seed: int = DEFAULT_SEED,
     scale: float = 1.0,
 ) -> FigureResult:
-    """Storage cost of HIR versus an in-order address buffer."""
+    """Storage cost of HIR versus an in-order address buffer.
+
+    A failed cell is left out of its rate's saving statistics (and
+    flagged in the notes).
+    """
     apps = _apps(apps)
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     for rate in rates:
         savings: list[float] = []
         for app in apps:
-            result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-            stats = result.extras["policy"].hir.stats
+            policy = _hpe(matrix, app, rate)
+            if policy is None:
+                continue
+            stats = policy.hir.stats
             hir_bytes = stats.entries_transferred * ENTRY_BYTES
             buffer_bytes = stats.records * ADDRESS_BYTES
             if buffer_bytes:
@@ -60,7 +76,8 @@ def hir_storage(
     return FigureResult(
         "Ovh.HIR", "HIR storage saving vs in-order address buffer",
         ["rate", "mean saving", "min", "max"], rows,
-        ["paper: 63% saving at 75% OS, 53% at 50% OS"],
+        ["paper: 63% saving at 75% OS, 53% at 50% OS"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -75,19 +92,23 @@ def core_load(
 
     Core busy time = faults × fault-service time, plus — for HPE only —
     the paper's worst-case 16.1 µs chain update amortised over every
-    16th fault, divided by total execution time.
+    16th fault, divided by total execution time.  A failed cell is left
+    out of its policy's mean (and flagged in the notes).
     """
     apps = _apps(apps)
     config = GPUConfig()
     fault_us = config.pcie.fault_service_us
+    matrix = run_scenario(MatrixSpec(
+        tuple(policies), tuple(rates), tuple(apps), seed=seed, scale=scale,
+    ))
     rows: list[list[object]] = []
     for rate in rates:
         for policy_name in policies:
             loads: list[float] = []
             for app in apps:
-                result = run_application(
-                    app, policy_name, rate, seed=seed, scale=scale
-                )
+                result = matrix.lookup(app, policy_name, rate)
+                if result is None:
+                    continue
                 total_us = result.cycles / (config.clock_ghz * 1e3)
                 busy_us = result.faults * fault_us
                 if policy_name == "hpe":
@@ -100,7 +121,8 @@ def core_load(
         "Ovh.Load", "Estimated host-CPU core load",
         ["rate", "policy", "mean load"], rows,
         ["paper: LRU 29.9%/39.3%, RRIP 30.3%/39.5%, CLOCK-Pro 29.5%/39.2%, "
-         "HPE 34.0%/47.2% (worst-case update costing)"],
+         "HPE 34.0%/47.2% (worst-case update costing)"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 
@@ -116,19 +138,25 @@ def classification_cost(
     KMN has the largest footprint, so the paper uses it to bound the
     classification latency (16.7 µs on their host).
     """
-    result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-    policy = result.extras["policy"]
-    counters = policy.chain.counters()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        classify(counters, policy.config.page_set_size)
-    elapsed_us = (time.perf_counter() - start) / repeats * 1e6
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), (rate,), (app,), seed=seed, scale=scale,
+    ))
+    policy = _hpe(matrix, app, rate)
+    row: list[object] = [math.nan, math.nan]
+    if policy is not None:
+        counters = policy.chain.counters()
+        start = time.perf_counter()
+        for _ in range(repeats):
+            classify(counters, policy.config.page_set_size)
+        elapsed_us = (time.perf_counter() - start) / repeats * 1e6
+        row = [len(counters), elapsed_us]
     return FigureResult(
         "Ovh.Class", f"Classification wall-clock cost ({app}, {rate:.0%} OS)",
         ["chain length", "mean us per pass"],
-        [[len(counters), elapsed_us]],
+        [row],
         [f"paper: 16.7 us on their host; "
-         "performed once per execution, so negligible either way"],
+         "performed once per execution, so negligible either way"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 

@@ -1,9 +1,13 @@
 """Generic (application × policy × oversubscription) experiment engine.
 
-Every figure/table harness is a thin layer over :func:`run_application`
-and :class:`ResultMatrix`.  Policies are constructed per run by name; RRIP
-receives the paper's per-pattern configuration (distant insertion and a
-128-fault delay threshold for type II applications, long insertion and no
+Every figure/table harness builds the
+:class:`~repro.scenarios.spec.MatrixSpec` grids it needs, runs them
+through :func:`run_scenario`, and renders from the returned
+:class:`ResultMatrix` objects; :func:`run_spec` runs one cell in this
+process for the single-cell diagnostics (``run``, ``trace``, ``stats``,
+``check``).  Policies are constructed per run by name; RRIP receives the
+paper's per-pattern configuration (distant insertion and a 128-fault
+delay threshold for type II applications, long insertion and no
 threshold otherwise — Section V-B), and CLOCK-Pro is sized to the run's
 capacity with the paper's fixed ``m_c = 128``.
 """
@@ -20,7 +24,7 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.hpe import HPEConfig, HPEPolicy
 from repro import check as check_module
@@ -61,11 +65,10 @@ from repro.policies import (
     RRIPPolicy,
     WSClockPolicy,
 )
-from repro.sim.config import GPUConfig
 from repro.sim.engine import UVMSimulator
 from repro.sim.results import SimulationResult
 from repro.workloads.base import Trace
-from repro.workloads.suite import APPLICATION_ORDER, ApplicationSpec, get_application
+from repro.workloads.suite import ApplicationSpec, get_application
 
 #: Policy names accepted by :func:`make_policy`, in report order.
 POLICY_NAMES = (
@@ -80,7 +83,7 @@ PAPER_RATES = (0.75, 0.50)
 # authority) and re-exported here for the harnesses that import it.
 
 #: Environment variable selecting the default worker count for
-#: :func:`run_matrix` (``0`` means "one worker per CPU").
+#: :func:`run_scenario` (``0`` means "one worker per CPU").
 ENV_JOBS = "REPRO_JOBS"
 
 
@@ -177,55 +180,9 @@ def clear_trace_cache() -> None:
     _TRACES.clear()
 
 
-def run_application(
-    app: str,
-    policy: str,
-    rate: float,
-    *,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    hpe_config: Optional[HPEConfig] = None,
-    prefetch_degree: int = 0,
-    use_cache: Optional[bool] = None,
-    obs=None,
-) -> SimulationResult:
-    """Run one (application, policy, oversubscription-rate) simulation.
-
-    A thin adapter over :func:`run_spec`: the arguments are folded into
-    a :class:`~repro.scenarios.spec.ScenarioSpec`, whose canonical form
-    keys the persistent cache (see :mod:`repro.sim.cache`).
-    ``use_cache=False`` forces a fresh simulation for this call only.
-
-    ``obs`` selects observability for this run: ``None`` consults the
-    process-wide setting (``REPRO_OBS`` / ``--obs``), ``False`` forces
-    it off, ``True`` builds a fresh registry-only
-    :class:`~repro.obs.Observation`, and an ``Observation`` instance is
-    used as-is (event traces included).  Observed runs always simulate —
-    a cached result has no trace or time-series to offer — and are not
-    stored back, keeping cache entries free of observation payloads.
-    """
-    return run_spec(
-        ScenarioSpec(
-            workload=app,
-            policy=policy,
-            rate=rate,
-            seed=seed,
-            scale=scale,
-            config=config,
-            hpe_config=hpe_config,
-            prefetch_degree=prefetch_degree,
-        ),
-        use_cache=use_cache,
-        obs=obs,
-    )
-
-
 #: True while :func:`_run_job` runs a cell.  The matrix that dispatched
 #: the cell looked it up and missed, so :func:`run_spec` simulates and
-#: stores without a second lookup: a long-lived worker's own memory
-#: layer could still hold a copy whose disk entry was deleted since, and
-#: answering from it would leave the entry missing for good.
+#: stores without repeating the lookup.
 _DISPATCHED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "dispatched", default=False
 )
@@ -243,8 +200,16 @@ def run_spec(
     ``spec.digest()`` — the SHA-256 of the spec's canonical identity
     string — so every caller that goes through a spec shares entries by
     construction.  A cell a matrix dispatched (:func:`_run_job`) is not
-    looked up again, only simulated and stored.  See
-    :func:`run_application` for the ``obs`` contract.
+    looked up again, only simulated and stored.  ``use_cache=False``
+    forces a fresh simulation for this call only.
+
+    ``obs`` selects observability for this run: ``None`` consults the
+    process-wide setting (``REPRO_OBS`` / ``--obs``), ``False`` forces
+    it off, ``True`` builds a fresh registry-only
+    :class:`~repro.obs.Observation`, and an ``Observation`` instance is
+    used as-is (event traces included).  Observed runs always simulate —
+    a cached result has no trace or time-series to offer — and are not
+    stored back, keeping cache entries free of observation payloads.
     """
     if spec.family != PAPER_FAMILY:
         raise ScenarioError(
@@ -349,25 +314,26 @@ class ResultMatrix:
         ]
 
     def get(self, app: str, policy: str, rate: float) -> SimulationResult:
-        return self.results[RunKey(app.upper(), policy, rate)]
+        return self.results[RunKey(app.upper(), policy.lower(), rate)]
 
-    def _lookup(
+    def lookup(
         self, app: str, policy: str, rate: float
     ) -> Optional[SimulationResult]:
-        return self.results.get(RunKey(app.upper(), policy, rate))
+        """The cell's result, or ``None`` when it failed (or is absent)."""
+        return self.results.get(RunKey(app.upper(), policy.lower(), rate))
 
     def speedup(self, app: str, policy: str, baseline: str, rate: float) -> float:
         """IPC of ``policy`` over ``baseline`` (``nan`` on a failed cell)."""
-        cell = self._lookup(app, policy, rate)
-        base = self._lookup(app, baseline, rate)
+        cell = self.lookup(app, policy, rate)
+        base = self.lookup(app, baseline, rate)
         if cell is None or base is None:
             return float("nan")
         return cell.speedup_over(base)
 
     def eviction_ratio(self, app: str, policy: str, baseline: str, rate: float) -> float:
         """Evictions relative to ``baseline`` (``nan`` on a failed cell)."""
-        cell = self._lookup(app, policy, rate)
-        base = self._lookup(app, baseline, rate)
+        cell = self.lookup(app, policy, rate)
+        base = self.lookup(app, baseline, rate)
         if cell is None or base is None:
             return float("nan")
         return cell.evictions_normalized_to(base)
@@ -381,7 +347,7 @@ class ResultMatrix:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count for :func:`run_matrix`.
+    """Worker count for :func:`run_scenario`.
 
     ``None`` defers to the ``REPRO_JOBS`` environment variable (default
     1, i.e. in process); ``0`` or a negative value means one worker per
@@ -549,109 +515,8 @@ def close_cell_pool() -> None:
 atexit.register(close_cell_pool)
 
 
-def matrix_run_id(
-    policies: Sequence[str],
-    rates: Sequence[float],
-    apps: Sequence[str],
-    *,
-    seed: int,
-    scale: float,
-    config: Optional[GPUConfig] = None,
-    hpe_config: Optional[HPEConfig] = None,
-) -> tuple[str, str]:
-    """Deterministic (run id, full spec hash) for one matrix spec.
-
-    A thin adapter over :meth:`~repro.scenarios.spec.MatrixSpec.run_id`
-    — the id is a pure function of the *normalised* spec (``None`` and
-    the explicit default ``GPUConfig()`` are the same matrix), so
-    re-invoking the same matrix — by hand or via ``hpe-repro resume`` —
-    lands on the same journal and picks up where the interrupted run
-    stopped.
-    """
-    spec = MatrixSpec(
-        policies=tuple(policies),
-        rates=tuple(rates),
-        apps=tuple(apps),
-        seed=seed,
-        scale=scale,
-        config=config,
-        hpe_config=hpe_config,
-    )
-    return spec.run_id(), spec.spec_hash()
-
-
 class _MatrixSigTerm(BaseException):
     """Internal: SIGTERM converted to an exception for clean shutdown."""
-
-
-def run_matrix(
-    policies: Sequence[str],
-    rates: Sequence[float] = PAPER_RATES,
-    apps: Optional[Sequence[str]] = None,
-    *,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    hpe_config: Optional[HPEConfig] = None,
-    progress: bool = False,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    chaos: Optional[Union[ChaosSpec, str]] = None,
-    journal: Optional[bool] = None,
-) -> ResultMatrix:
-    """Run the cartesian product and collect a :class:`ResultMatrix`.
-
-    A thin adapter over :func:`run_scenario`: the grid arguments are
-    folded into a :class:`~repro.scenarios.spec.MatrixSpec`, so the
-    legacy signature and an explicit spec produce identical run ids,
-    journals, and cache digests by construction.
-
-    Every (rate × app × policy) run goes through a
-    :class:`~repro.resil.WorkerSupervisor`: each job gets a wall-clock
-    ``timeout`` and up to ``retries`` extra attempts with exponential
-    backoff, a crash or hang costs one retry (never the matrix), and
-    results are folded in deterministic key order whatever the job
-    count.  ``jobs > 1`` runs the cells on that many worker processes,
-    forked once per process rather than per matrix (see
-    :func:`run_scenario`), which build their own traces; ``jobs=1``
-    runs them in this process, where a SIGALRM interval timer enforces
-    the timeout (``REPRO_WORKER_TIMEOUT=0`` disables enforcement for
-    both — the documented escape hatch for debugging a slow cell).
-
-    When the persistent cache is on (and the run is not observed), every
-    completion is recorded in an append-only run journal keyed by the
-    cache digest; an interrupted run — ``KeyboardInterrupt``, SIGTERM,
-    or an injected chaos interrupt — shuts down cleanly (workers
-    terminated, journal and metrics flushed) and raises
-    :class:`~repro.resil.MatrixInterrupted`; re-running the same spec
-    (or ``hpe-repro resume <run-id>``) picks up from the completed jobs
-    and produces bit-identical results to an uninterrupted run.
-
-    Cells whose retries are exhausted become explicit failure records on
-    the matrix (see :class:`ResultMatrix`) — never an exception.
-
-    ``chaos`` injects deterministic faults for testing (``None`` reads
-    ``REPRO_CHAOS``); see :mod:`repro.resil.chaos` for the grammar.
-
-    Progress lines go to stderr so piped harness output is never
-    corrupted.
-    """
-    spec = MatrixSpec(
-        policies=tuple(policies),
-        rates=tuple(rates),
-        apps=tuple(apps) if apps is not None else tuple(APPLICATION_ORDER),
-        seed=seed,
-        scale=scale,
-        config=config,
-        hpe_config=hpe_config,
-    )
-    return run_scenario(
-        spec,
-        progress=progress, jobs=jobs, timeout=timeout, retries=retries,
-        backoff=backoff, chaos=chaos, journal=journal,
-    )
 
 
 def run_scenario(
@@ -671,8 +536,33 @@ def run_scenario(
     ``spec`` is the single identity authority for the whole run: the
     journal run id is ``spec.run_id()``, the ``run_start`` record
     carries ``spec.spec_hash()``, and each cell is cached under its
-    :meth:`~repro.scenarios.spec.ScenarioSpec.digest`.  See
-    :func:`run_matrix` for the execution/retry/journal contract.
+    :meth:`~repro.scenarios.spec.ScenarioSpec.digest`.
+
+    Every (rate × app × policy) cell goes through a
+    :class:`~repro.resil.WorkerSupervisor`: each job gets a wall-clock
+    ``timeout`` and up to ``retries`` extra attempts with exponential
+    backoff, a crash or hang costs one retry (never the matrix), and
+    results are folded in deterministic key order whatever the job
+    count.  ``jobs=1`` runs the cells in this process, where a SIGALRM
+    interval timer enforces the timeout (``REPRO_WORKER_TIMEOUT=0``
+    disables enforcement at every job count — the escape hatch for
+    debugging a slow cell).
+
+    When the persistent cache is on (and the run is not observed), every
+    completion is recorded in an append-only run journal keyed by the
+    cache digest; an interrupted run — ``KeyboardInterrupt``, SIGTERM,
+    or an injected chaos interrupt — shuts down cleanly (workers
+    terminated, journal and metrics flushed) and raises
+    :class:`~repro.resil.MatrixInterrupted`; re-running the same spec
+    (or ``hpe-repro resume <run-id>``) picks up from the completed jobs
+    and produces bit-identical results to an uninterrupted run.
+
+    Cells whose retries are exhausted become explicit failure records on
+    the matrix (see :class:`ResultMatrix`) — never an exception.
+    ``chaos`` injects deterministic faults for testing (``None`` reads
+    ``REPRO_CHAOS``); see :mod:`repro.resil.chaos` for the grammar.
+    Progress lines go to stderr so piped harness output is never
+    corrupted.
 
     ``supervisor`` sends the cells through a started long-lived pool
     (:func:`start_cell_pool`): the pool's size, timeout, retries and

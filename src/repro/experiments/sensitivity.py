@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.core.hpe import HPEConfig
-from repro.experiments.figures import FigureResult, _apps
+from repro.experiments.figures import FigureResult, _apps, _degraded_notes
 from repro.experiments.runner import (
     DEFAULT_SEED,
     arithmetic_mean,
-    run_application,
+    run_scenario,
 )
 from repro.obs import finite_or_none
+from repro.scenarios.spec import MatrixSpec
 from repro.sim.config import GPUConfig
 
 
@@ -30,18 +32,23 @@ def transfer_interval(
     """
     apps = _apps(apps)
     rows: list[list[object]] = []
-    baseline: dict[str, float] = {}
-    mean_row: list[object] = ["MEAN IPC (norm. to 16)"]
     ipc: dict[int, list[float]] = {}
     entries: dict[int, list[float]] = {}
+    failed: list[str] = []
     for interval in intervals:
+        matrix = run_scenario(MatrixSpec(
+            ("hpe",), (rate,), tuple(apps), seed=seed, scale=scale,
+            hpe_config=HPEConfig(transfer_interval=interval),
+        ))
+        failed += matrix.failure_lines()
         ipc[interval] = []
         entries[interval] = []
         for app in apps:
-            result = run_application(
-                app, "hpe", rate, seed=seed, scale=scale,
-                hpe_config=HPEConfig(transfer_interval=interval),
-            )
+            result = matrix.lookup(app, "hpe", rate)
+            if result is None:
+                ipc[interval].append(math.nan)
+                entries[interval].append(math.nan)
+                continue
             ipc[interval].append(result.ipc)
             policy = result.extras["policy"]
             entries[interval].append(policy.hir.stats.mean_entries_per_transfer)
@@ -58,7 +65,8 @@ def transfer_interval(
         "Sens.TI", f"Transfer-interval sensitivity ({rate:.0%} OS)",
         ["faults/transfer", "mean IPC (norm. 16)", "mean entries/transfer"],
         rows,
-        ["paper: 16 is the best tradeoff between frequency and performance"],
+        ["paper: 16 is the best tradeoff between frequency and performance"]
+        + _degraded_notes(failed),
     )
 
 
@@ -71,17 +79,22 @@ def walk_latency(
 ) -> FigureResult:
     """§V-B: page-walk latency has little influence on overall IPC."""
     apps = _apps(apps)
+    ipc: dict[str, dict[int, float]] = {"lru": {}, "hpe": {}}
+    failed: list[str] = []
+    for latency in latencies:
+        matrix = run_scenario(MatrixSpec(
+            ("lru", "hpe"), (rate,), tuple(apps), seed=seed, scale=scale,
+            config=GPUConfig().with_walk_latency(latency),
+        ))
+        failed += matrix.failure_lines()
+        for policy_name, by_latency in ipc.items():
+            results = [matrix.lookup(app, policy_name, rate) for app in apps]
+            by_latency[latency] = arithmetic_mean(
+                math.nan if result is None else result.ipc
+                for result in results
+            )
     rows: list[list[object]] = []
-    for policy_name in ("lru", "hpe"):
-        ipcs: dict[int, float] = {}
-        for latency in latencies:
-            config = GPUConfig().with_walk_latency(latency)
-            values = [
-                run_application(app, policy_name, rate, seed=seed,
-                                scale=scale, config=config).ipc
-                for app in apps
-            ]
-            ipcs[latency] = arithmetic_mean(values)
+    for policy_name, ipcs in ipc.items():
         base = ipcs[latencies[0]]
         row: list[object] = [policy_name]
         for latency in latencies:
@@ -90,7 +103,8 @@ def walk_latency(
     return FigureResult(
         "Sens.WL", f"Page-walk-latency sensitivity ({rate:.0%} OS)",
         ["policy"] + [f"{lat} cycles" for lat in latencies], rows,
-        ["paper: minimal performance difference between 8 and 20 cycles"],
+        ["paper: minimal performance difference between 8 and 20 cycles"]
+        + _degraded_notes(failed),
     )
 
 
@@ -111,24 +125,27 @@ def prefetch(
     memory adds eviction pressure — the interaction an eviction-policy
     study should quantify.
 
-    Every cell goes through the cached :func:`run_application` entry
-    point (``prefetch_degree`` is part of the scenario spec, hence the
-    cache fingerprint), so re-running the sweep — or overlapping it with
-    a ``prefetch-64k`` scenario run — costs nothing.
+    Each degree is one cached matrix (``prefetch_degree`` is part of
+    the scenario spec, hence the cache fingerprint), so re-running the
+    sweep — or overlapping it with a ``prefetch-64k`` scenario run —
+    costs nothing.
     """
     apps = _apps(apps)
     mean_faults: dict[int, float] = {}
     mean_ipc: dict[int, float] = {}
+    failed: list[str] = []
     for degree in degrees:
-        faults: list[int] = []
+        matrix = run_scenario(MatrixSpec(
+            (policy,), (rate,), tuple(apps), seed=seed, scale=scale,
+            prefetch_degree=degree,
+        ))
+        failed += matrix.failure_lines()
+        faults: list[float] = []
         ipcs: list[float] = []
         for app in apps:
-            result = run_application(
-                app, policy, rate, seed=seed, scale=scale,
-                prefetch_degree=degree,
-            )
-            faults.append(result.faults)
-            ipcs.append(result.ipc)
+            result = matrix.lookup(app, policy, rate)
+            faults.append(math.nan if result is None else result.faults)
+            ipcs.append(math.nan if result is None else result.ipc)
         mean_faults[degree] = arithmetic_mean(faults)
         mean_ipc[degree] = arithmetic_mean(ipcs)
     # finite_or_none guards the baseline: NaN is truthy, so the old
@@ -148,7 +165,7 @@ def prefetch(
         ["prefetch degree", "mean faults",
          f"IPC (norm. degree {degrees[0]})"], rows,
         ["extension beyond the paper: degree 15 matches Pascal's 64 KB "
-         "fault-around granularity"],
+         "fault-around granularity"] + _degraded_notes(failed),
     )
 
 

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
-from repro.experiments.figures import FigureResult, _apps, _pattern
-from repro.experiments.runner import DEFAULT_SEED, run_application
+from repro.experiments.figures import (
+    FigureResult,
+    _apps,
+    _degraded_notes,
+    _hpe,
+    _pattern,
+)
+from repro.experiments.runner import DEFAULT_SEED, run_scenario
 from repro.memory.addressing import PAGE_SIZE_BYTES
+from repro.scenarios.spec import MatrixSpec
 from repro.sim.config import GPUConfig
 from repro.workloads.suite import get_application
 
@@ -70,10 +78,15 @@ def table3(
 ) -> FigureResult:
     """Table III — statistics-based classification outcome per app."""
     apps = _apps(apps)
+    matrix = run_scenario(MatrixSpec(
+        ("hpe",), (rate,), tuple(apps), seed=seed, scale=scale,
+    ))
     rows = []
     for app in apps:
-        result = run_application(app, "hpe", rate, seed=seed, scale=scale)
-        policy = result.extras["policy"]
+        policy = _hpe(matrix, app, rate)
+        if policy is None:
+            rows.append([app, _pattern(app), "-", math.nan, math.nan])
+            continue
         if policy.classification is None:
             rows.append([app, _pattern(app), "(never full)", "-", "-"])
             continue
@@ -85,7 +98,8 @@ def table3(
     return FigureResult(
         "Table.III", f"Classification at first-full ({rate:.0%} OS)",
         ["app", "type", "category", "ratio1", "ratio2"], rows,
-        ["thresholds: ratio1 <= 0.3, ratio2 >= 2 (Section IV-D)"],
+        ["thresholds: ratio1 <= 0.3, ratio2 >= 2 (Section IV-D)"]
+        + _degraded_notes(matrix.failure_lines()),
     )
 
 

@@ -16,7 +16,7 @@ The package has four pillars, each in its own module:
 
 The experiment runner (:mod:`repro.experiments.runner`) threads them
 together; :class:`MatrixInterrupted` and :data:`EXIT_INTERRUPTED` are
-the contract between an interrupted ``run_matrix`` and the CLI.
+the contract between an interrupted ``run_scenario`` and the CLI.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.resil.atomic import (
     atomic_write_text,
     frame_payload,
     is_framed,
-    replace_into,
     unframe_payload,
 )
 from repro.resil.chaos import (
@@ -116,7 +115,6 @@ __all__ = [
     "frame_payload",
     "is_framed",
     "journal_enabled",
-    "replace_into",
     "resolve_settings",
     "unframe_payload",
 ]

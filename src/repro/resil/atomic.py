@@ -135,14 +135,3 @@ def atomic_write_json(
     atomic_write_text(
         path, json.dumps(payload, indent=indent) + "\n", fsync=fsync
     )
-
-
-def replace_into(tmp: Union[str, Path], path: Union[str, Path]) -> None:
-    """Atomically publish an already-written temp file at ``path``.
-
-    For writers that must produce the temp file themselves (e.g. a
-    gzip trace written by ``save_trace``); the temp file must live on
-    the same filesystem as ``path``.
-    """
-    os.replace(tmp, path)
-    _fsync_directory(Path(path).parent)

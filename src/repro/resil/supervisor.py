@@ -418,12 +418,6 @@ class WorkerSupervisor:
         self._wake_r = -1
         self._wake_w = -1
 
-    @property
-    def start_method(self) -> str:
-        """How workers are created (``"fork"``, ``"spawn"``, ...)."""
-        method: str = self._ctx.get_start_method()
-        return method
-
     # -- worker lifecycle ----------------------------------------------
 
     def _stderr_root(self) -> Path:

@@ -1,10 +1,10 @@
 """Declarative, hashable experiment identity — the one canonical form.
 
 Before this module existed, the identity of an experiment was computed in
-three subtly different places, and they disagreed: ``matrix_run_id``
+three subtly different places, and they disagreed: the matrix run id
 hashed ``config=None`` and an explicit default ``GPUConfig()`` to
-*different* run ids while ``sim_cache.fingerprint`` normalised them to
-the same digest, and the journal's ``run_start`` record carried only a
+*different* run ids while the result-cache key normalised them to the
+same digest, and the journal's ``run_start`` record carried only a
 ``custom_config: bool`` that could not tell a default-config resume from
 a genuinely different one.  DESIGN.md §10 tells the full story.
 

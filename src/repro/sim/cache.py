@@ -3,13 +3,13 @@
 Results are cached on disk so that repeated experiment runs — within one
 process, across processes of a parallel matrix, and across sessions —
 never redo a simulation whose inputs have not changed.  A
-:class:`~repro.sim.results.SimulationResult` is keyed by a SHA-256
-fingerprint of everything that determines it: application, policy,
-oversubscription rate, trace seed and scale, the full
-:class:`~repro.sim.config.GPUConfig`, the
-:class:`~repro.core.hpe.HPEConfig` (for HPE runs), and a cache schema
-version.  Values are pickled whole (including the live policy object in
-``extras`` that the figure harnesses introspect).
+:class:`~repro.sim.results.SimulationResult` is keyed by its
+:meth:`repro.scenarios.spec.ScenarioSpec.digest`, a SHA-256 of
+everything that determines it: application, policy, oversubscription
+rate, trace seed and scale, the full :class:`~repro.sim.config.GPUConfig`,
+the :class:`~repro.core.hpe.HPEConfig` (for HPE runs), and a cache
+schema version.  Values are pickled whole (including the live policy
+object in ``extras`` that the figure harnesses introspect).
 
 Built traces are not cached here: building one costs less than reading
 a stored copy back, so each process keeps only its in-memory
@@ -38,11 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.hpe import HPEConfig
 from repro.resil import atomic as resil_atomic
 from repro.resil import chaos as resil_chaos
-from repro.scenarios.spec import ScenarioSpec, stable_config_repr
-from repro.sim.config import GPUConfig
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:
@@ -125,51 +122,11 @@ class CacheStats:
         registry.set_gauge("cache.result_corrupt", self.result_corrupt)
 
 
-#: Backwards-compatible alias — the canonical implementation moved to
-#: :func:`repro.scenarios.spec.stable_config_repr` with the spec refactor.
-_stable_config_repr = stable_config_repr
-
-
-def fingerprint(
-    app: str,
-    policy: str,
-    rate: float,
-    *,
-    seed: int,
-    scale: float,
-    config: Optional[GPUConfig] = None,
-    hpe_config: Optional[HPEConfig] = None,
-    prefetch_degree: int = 0,
-) -> str:
-    """Content address of one simulation run.
-
-    A thin adapter over :meth:`repro.scenarios.spec.ScenarioSpec.digest`
-    — the spec's ``canonical()`` string is the single identity authority
-    (DESIGN.md §10), so any input that can change the
-    :class:`SimulationResult` is folded in and ``hpe_config`` only
-    participates for HPE runs (it cannot affect any other policy, and
-    normalising it keeps sensitivity sweeps sharing entries for their
-    non-HPE baselines).
-    """
-    return ScenarioSpec(
-        workload=app,
-        policy=policy,
-        rate=rate,
-        seed=seed,
-        scale=scale,
-        config=config,
-        hpe_config=hpe_config,
-        prefetch_degree=prefetch_degree,
-    ).digest()
-
-
 class ResultCache:
     """Disk-backed store of pickled :class:`SimulationResult` objects.
 
-    A small in-memory layer keeps the pickled bytes of recently used
-    entries so warm harness reruns in one process skip even the disk
-    read; entries are always *unpickled per get* so callers never share
-    mutable state.
+    Every get reads and unpickles the entry afresh, so callers never
+    share mutable state.
 
     On-disk entries are checksum-framed (:mod:`repro.resil.atomic`); a
     frame that fails verification — a torn write from a crashed process,
@@ -178,15 +135,9 @@ class ResultCache:
     entries (raw pickles) are still readable.
     """
 
-    def __init__(
-        self,
-        directory: Optional[os.PathLike] = None,
-        memory_entries: int = 256,
-    ) -> None:
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self.directory = Path(directory) if directory else cache_dir() / "results"
         self.stats = CacheStats()
-        self._memory: dict[str, bytes] = {}
-        self._memory_entries = memory_entries
 
     def _path(self, digest: str) -> Path:
         # Two-level fan-out keeps directory listings manageable.
@@ -194,25 +145,22 @@ class ResultCache:
 
     def get(self, digest: str) -> Optional[SimulationResult]:
         """Return a fresh copy of the cached result, or ``None`` on miss."""
-        payload = self._memory.get(digest)
-        if payload is None:
+        try:
+            data = self._path(digest).read_bytes()
+        except OSError:
+            self.stats.result_misses += 1
+            return None
+        if resil_atomic.is_framed(data):
             try:
-                data = self._path(digest).read_bytes()
-            except OSError:
+                payload = resil_atomic.unframe_payload(data)
+            except resil_atomic.TornPayloadError:
+                # Torn write: delete and report a miss, never a crash.
+                self.stats.result_corrupt += 1
+                self._drop(digest)
                 self.stats.result_misses += 1
                 return None
-            if resil_atomic.is_framed(data):
-                try:
-                    payload = resil_atomic.unframe_payload(data)
-                except resil_atomic.TornPayloadError:
-                    # Torn write: delete and report a miss, never a crash.
-                    self.stats.result_corrupt += 1
-                    self._drop(digest)
-                    self.stats.result_misses += 1
-                    return None
-            else:
-                payload = data  # pre-framing entry (raw pickle)
-            self._remember(digest, payload)
+        else:
+            payload = data  # pre-framing entry (raw pickle)
         try:
             result = pickle.loads(payload)
         except Exception:
@@ -229,28 +177,17 @@ class ResultCache:
         framed = resil_atomic.frame_payload(payload)
         written = resil_chaos.maybe_corrupt(digest, framed)
         resil_atomic.atomic_write_bytes(self._path(digest), written)
-        if written is framed:
-            # A chaos-torn write models a crashed process, whose memory
-            # is gone too — only intact writes enter the memory layer.
-            self._remember(digest, payload)
         self.stats.result_stores += 1
 
     def _drop(self, digest: str) -> None:
-        self._memory.pop(digest, None)
         try:
             self._path(digest).unlink()
         except OSError:
             pass
 
-    def _remember(self, digest: str, payload: bytes) -> None:
-        self._memory[digest] = payload
-        while len(self._memory) > self._memory_entries:
-            self._memory.pop(next(iter(self._memory)))
-
     def clear(self) -> int:
         """Delete every stored result; return the number removed."""
         removed = 0
-        self._memory.clear()
         if self.directory.is_dir():
             for entry in self.directory.rglob("*.pkl"):
                 try:
@@ -280,23 +217,6 @@ def result_cache() -> ResultCache:
         # never through this pointer.
         _RESULTS = ResultCache()  # noqa: REP011
     return _RESULTS
-
-
-def lookup_result(digest: str) -> Optional[SimulationResult]:
-    """Cache-aware get: ``None`` when disabled or missing."""
-    if not cache_enabled():
-        return None
-    return result_cache().get(digest)
-
-
-def store_result(digest: str, result: SimulationResult) -> None:
-    """Cache-aware put: a no-op when caching is disabled."""
-    if not cache_enabled():
-        return
-    try:
-        result_cache().put(digest, result)
-    except (OSError, RecursionError, pickle.PicklingError):
-        pass  # an unwritable/unpicklable entry must never fail the run
 
 
 def clear_all() -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro import check as check_module
-from repro.experiments.runner import POLICY_NAMES, run_application
+from repro.experiments.runner import POLICY_NAMES, run_spec
+from repro.scenarios.spec import ScenarioSpec
 
 APPS = ("STN", "BFS")  # regular + irregular (Table I patterns)
 RATE = 0.75
@@ -21,8 +22,8 @@ SCALE = 0.25
 def _run(app: str, policy: str, sanitize: bool) -> dict:
     check_module.configure(enabled=sanitize)
     try:
-        result = run_application(
-            app, policy, RATE, scale=SCALE, use_cache=False
+        result = run_spec(
+            ScenarioSpec(app, policy, RATE, scale=SCALE), use_cache=False
         )
     finally:
         check_module.configure(enabled=False)
@@ -44,8 +45,8 @@ def test_fast_mode_is_also_bit_identical() -> None:
     plain = _run("BFS", "hpe", sanitize=False)
     check_module.configure(enabled=True, fast=True)
     try:
-        result = run_application(
-            "BFS", "hpe", RATE, scale=SCALE, use_cache=False
+        result = run_spec(
+            ScenarioSpec("BFS", "hpe", RATE, scale=SCALE), use_cache=False
         )
     finally:
         check_module.configure(enabled=False, fast=False)

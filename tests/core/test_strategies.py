@@ -1,13 +1,11 @@
-"""Unit tests for the MRU-C and LRU page-set selection strategies."""
+"""Unit tests for the MRU-C and LRU page-set selection strategies.
+
+Both walks live on the chain's array core: ``mru_c_search(target, jump)``
+returns ``(entry, comparisons)`` and ``first_payload()`` is the LRU pick.
+"""
 
 from repro.core.chain import PageSetChain
 from repro.core.pageset import PageSetEntry
-from repro.core.strategies import (
-    StrategyKind,
-    select,
-    select_lru,
-    select_mru_c,
-)
 
 
 def chain_with_old(counters, size=16):
@@ -28,60 +26,49 @@ def chain_with_old(counters, size=16):
 
 class TestSelectLRU:
     def test_empty_chain(self):
-        result = select_lru(PageSetChain(16))
-        assert result.entry is None
-        assert result.comparisons == 0
+        chain = PageSetChain(16)
+        assert chain.array.first_payload() is None
+        assert chain.array.mru_c_search(16) == (None, 0)
 
     def test_picks_oldest(self):
         chain = chain_with_old([16, 16, 16])
-        result = select_lru(chain)
-        assert result.entry.tag == 0
-        assert result.comparisons == 1
+        assert chain.array.first_payload().tag == 0
 
 
 class TestSelectMRUC:
     def test_prefers_counter_equal_to_set_size(self):
         chain = chain_with_old([16, 40, 16, 40])
-        result = select_mru_c(chain, 16)
+        entry, comparisons = chain.array.mru_c_search(16)
         # Scan from MRU (tag 3): 40 no, 16 yes -> tag 2.
-        assert result.entry.tag == 2
-        assert result.comparisons == 2
+        assert entry.tag == 2
+        assert comparisons == 2
 
     def test_min_counter_fallback(self):
         chain = chain_with_old([40, 24, 32])
-        result = select_mru_c(chain, 16)
-        assert result.entry.counter == 24
-        assert result.comparisons == 3  # full scan
+        entry, comparisons = chain.array.mru_c_search(16)
+        assert entry.counter == 24
+        assert comparisons == 3  # full scan
 
     def test_jump_skips_mru_entries(self):
         chain = chain_with_old([40, 16, 16])
-        result = select_mru_c(chain, 16, jump=1)
+        entry, _ = chain.array.mru_c_search(16, 1)
         # MRU is tag 2 (16) but jumped over; next qualifying is tag 1.
-        assert result.entry.tag == 1
+        assert entry.tag == 1
 
     def test_jump_saturates_at_lru_end(self):
         chain = chain_with_old([16, 16, 16])
-        result = select_mru_c(chain, 16, jump=99)
-        assert result.entry.tag == 0  # LRU end, not wrapped to MRU
+        entry, _ = chain.array.mru_c_search(16, 99)
+        assert entry.tag == 0  # LRU end, not wrapped to MRU
 
     def test_empty_old_falls_back_to_lru(self):
         chain = PageSetChain(16)
         entry = PageSetEntry(tag=9, page_set_size=16)
         chain.insert(entry)  # new partition only
-        result = select_mru_c(chain, 16)
-        assert result.entry.tag == 9
+        entry, comparisons = chain.array.mru_c_search(16)
+        assert entry.tag == 9
+        assert comparisons == 1
 
     def test_comparisons_count_skips_jumped(self):
         chain = chain_with_old([16, 16, 16, 16])
-        result = select_mru_c(chain, 16, jump=2)
-        assert result.comparisons == 1
-
-
-class TestDispatch:
-    def test_dispatch_lru(self):
-        chain = chain_with_old([16, 16])
-        assert select(StrategyKind.LRU, chain, 16).entry.tag == 0
-
-    def test_dispatch_mru_c(self):
-        chain = chain_with_old([16, 16])
-        assert select(StrategyKind.MRU_C, chain, 16).entry.tag == 1
+        _, comparisons = chain.array.mru_c_search(16, 2)
+        assert comparisons == 1

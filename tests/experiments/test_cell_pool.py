@@ -16,7 +16,6 @@ from repro import check as check_module
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     close_cell_pool,
-    run_matrix,
     run_scenario,
     run_spec,
     start_cell_pool,
@@ -26,8 +25,9 @@ from repro.resil import chaos as resil_chaos
 from repro.scenarios.spec import MatrixSpec
 from repro.sim import cache as sim_cache
 
-ONE_CELL = dict(rates=[0.5], apps=["STN"], scale=0.25)
-FOUR_CELLS = dict(rates=[0.5], apps=["STN", "HOT"], scale=0.25)
+ONE_CELL = MatrixSpec(("lru",), (0.5,), ("STN",), scale=0.25)
+#: The grid fields of two apps at one rate (four cells under two policies).
+TWO_APPS = dict(rates=(0.5,), apps=("STN", "HOT"), scale=0.25)
 
 
 def lent_pool():
@@ -69,11 +69,10 @@ class TestBorrowedPool:
     def test_consecutive_matrices_fork_two_workers(self, no_cache):
         pools = []
         for seed in (21, 22, 23):
-            parallel = run_matrix(["lru", "hpe"], seed=seed, jobs=2,
-                                  **FOUR_CELLS)
+            spec = MatrixSpec(("lru", "hpe"), seed=seed, **TWO_APPS)
+            parallel = run_scenario(spec, jobs=2)
             pools.append(lent_pool())
-            serial = run_matrix(["lru", "hpe"], seed=seed, jobs=1,
-                                **FOUR_CELLS)
+            serial = run_scenario(spec, jobs=1)
             assert len(parallel.results) == 4
             assert key_metrics(parallel) == key_metrics(serial)
         assert all(pool is pools[0] for pool in pools)
@@ -85,7 +84,7 @@ class TestBorrowedPool:
     def test_changed_state_starts_a_new_pool(
         self, no_cache, tmp_path, monkeypatch, change
     ):
-        run_matrix(["lru"], jobs=2, **ONE_CELL)
+        run_scenario(ONE_CELL, jobs=2)
         old = lent_pool()
         old_workers = workers(old)
         timeout = None
@@ -99,7 +98,7 @@ class TestBorrowedPool:
         else:
             timeout = 123.0
         try:
-            matrix = run_matrix(["lru"], jobs=2, timeout=timeout, **ONE_CELL)
+            matrix = run_scenario(ONE_CELL, jobs=2, timeout=timeout)
         finally:
             if change == "cache_dir":
                 sim_cache.configure(directory=previous)
@@ -109,15 +108,15 @@ class TestBorrowedPool:
         assert lent_pool().pool_stats()["spawned"] == 2
 
     def test_interrupt_closes_the_pool(self, no_cache):
-        run_matrix(["lru"], jobs=2, **ONE_CELL)
+        run_scenario(ONE_CELL, jobs=2)
         pool = lent_pool()
         pool_workers = workers(pool)
         with pytest.raises(MatrixInterrupted):
-            run_matrix(["lru", "hpe"], jobs=2, chaos="sigterm=2",
-                       **FOUR_CELLS)
+            run_scenario(MatrixSpec(("lru", "hpe"), **TWO_APPS), jobs=2,
+                         chaos="sigterm=2")
         assert lent_pool() is None
         assert not any(process.is_alive() for process in pool_workers)
-        matrix = run_matrix(["lru", "hpe"], jobs=2, **FOUR_CELLS)
+        matrix = run_scenario(MatrixSpec(("lru", "hpe"), **TWO_APPS), jobs=2)
         assert len(matrix.results) == 4
         assert lent_pool() is not pool
 
@@ -136,8 +135,10 @@ class TestBorrowedPool:
 
         def call(name, **kwargs):
             try:
-                answers[name] = run_matrix(["lru", "hpe", "ideal"], jobs=2,
-                                           **FOUR_CELLS, **kwargs)
+                answers[name] = run_scenario(
+                    MatrixSpec(("lru", "hpe", "ideal"), **TWO_APPS), jobs=2,
+                    **kwargs,
+                )
             except Exception as exc:  # reported to the test thread
                 answers[name] = exc
 
@@ -168,13 +169,15 @@ class TestBorrowedPool:
         """Eight threads borrow at once, two under another timeout: every
         matrix completes, one pool serves the six, and its run count
         returns to zero."""
-        run_matrix(["lru"], jobs=2, **ONE_CELL)
+        run_scenario(ONE_CELL, jobs=2)
         answers: list[object] = []
 
         def call(seed, timeout):
             try:
-                answers.append(run_matrix(["lru", "hpe"], jobs=2, seed=seed,
-                                          timeout=timeout, **FOUR_CELLS))
+                answers.append(run_scenario(
+                    MatrixSpec(("lru", "hpe"), seed=seed, **TWO_APPS),
+                    jobs=2, timeout=timeout,
+                ))
             except Exception as exc:  # reported to the test thread
                 answers.append(exc)
 
@@ -206,10 +209,11 @@ class TestBorrowedPool:
     def test_process_exits_without_closing_the_pool(self, tmp_path):
         code = (
             "from repro.sim import cache\n"
-            "from repro.experiments.runner import run_matrix\n"
+            "from repro.experiments.runner import run_scenario\n"
+            "from repro.scenarios.spec import MatrixSpec\n"
             "cache.configure(enabled=False)\n"
-            "matrix = run_matrix(['lru'], rates=[0.5], apps=['STN'],\n"
-            "                    scale=0.25, jobs=2)\n"
+            "matrix = run_scenario(MatrixSpec(('lru',), (0.5,), ('STN',),\n"
+            "                                 scale=0.25), jobs=2)\n"
             "assert len(matrix.results) == 1\n"
             "print('done', flush=True)\n"
         )
@@ -241,7 +245,7 @@ class TestBorrowedPool:
 
     def test_forked_child_forgets_the_pool(self, no_cache):
         # Closing the pool from a child would stop its parent's workers.
-        run_matrix(["lru"], jobs=2, **ONE_CELL)
+        run_scenario(ONE_CELL, jobs=2)
         pool = lent_pool()
         read_end, write_end = os.pipe()
         pid = os.fork()
@@ -259,7 +263,7 @@ class TestBorrowedPool:
 
     def test_close_cell_pool_is_idempotent(self, no_cache):
         close_cell_pool()
-        run_matrix(["lru"], jobs=2, **ONE_CELL)
+        run_scenario(ONE_CELL, jobs=2)
         pool_workers = workers(lent_pool())
         close_cell_pool()
         close_cell_pool()
@@ -287,8 +291,8 @@ class TestDispatchedCellsAreNotLookedUpAgain:
     @pytest.mark.parametrize("own_pool", [True, False],
                              ids=["started-pool", "borrowed-pool"])
     def test_deleted_entry_heals(self, fresh_cache, own_pool):
-        """A long-lived worker must not answer a cell its parent missed
-        from its own memory layer: the entry would never be rewritten."""
+        """A cell its parent missed is simulated and stored again by a
+        long-lived worker, so a deleted entry heals."""
         spec = MatrixSpec(policies=("lru",), rates=(0.5,), apps=("STN",),
                           seed=3, scale=0.25)
         [cell] = spec.cells()

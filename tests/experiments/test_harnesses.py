@@ -4,8 +4,12 @@ Run on a small application subset so the whole file stays fast; the
 full-suite reproductions live in the benchmarks and EXPERIMENTS.md.
 """
 
+import warnings
+
 import pytest
 
+from repro.experiments import runner as runner_module
+from repro.experiments.ablation import ablation
 from repro.experiments.figures import (
     figure3, figure7, figure8, figure9, figure10, figure11, figure12,
     figure13, figure14, figure15, FIGURES,
@@ -14,8 +18,11 @@ from repro.experiments.overhead import (
     classification_cost, core_load, hir_storage, search_cost,
 )
 from repro.experiments.report import format_markdown_table, format_table
-from repro.experiments.sensitivity import transfer_interval, walk_latency
+from repro.experiments.sensitivity import (
+    prefetch, transfer_interval, walk_latency,
+)
 from repro.experiments.tables import table1, table2, table3
+from repro.sim import cache as sim_cache
 
 SMALL = ["HOT", "STN"]
 
@@ -145,3 +152,82 @@ class TestPrefetchHarness:
         assert result.rows[1][1] < result.rows[0][1]
         # IPC normalised to degree 0.
         assert result.rows[0][2] == 1.0
+
+
+#: STN (regular, MRU-C group) and NW (irregular, LRU group, divides
+#: page sets) at scale 0.25.
+PAIR = dict(apps=["STN", "NW"], scale=0.25)
+
+#: The harnesses that once looped cells in process, with their arguments.
+HARNESSES = {
+    "figure7": (figure7, PAIR),
+    "figure8": (figure8, PAIR),
+    "figure9": (figure9, PAIR),
+    "figure13": (figure13, PAIR),
+    "figure14": (figure14, PAIR),
+    "figure15": (figure15, PAIR),
+    "table3": (table3, PAIR),
+    "transfer_interval": (transfer_interval, PAIR),
+    "walk_latency": (walk_latency, PAIR),
+    "prefetch": (prefetch, PAIR),
+    "hir_storage": (hir_storage, PAIR),
+    "core_load": (core_load, PAIR),
+    "classification_cost": (
+        classification_cost, dict(app="NW", scale=0.25, repeats=5)
+    ),
+    "ablation": (ablation, PAIR),
+}
+
+
+@pytest.fixture
+def cold_cache(tmp_path):
+    """A fresh cache per run: a cached cell never reaches a worker."""
+    previous = sim_cache.cache_dir()
+    directories = iter(tmp_path / f"cache{n}" for n in range(10))
+
+    def next_cache():
+        sim_cache.configure(enabled=True, directory=next(directories))
+
+    yield next_cache
+    sim_cache.configure(enabled=True, directory=previous)
+
+
+class TestEveryHarnessRunsItsCellsThroughRunScenario:
+    @pytest.mark.parametrize("name", sorted(HARNESSES))
+    def test_jobs_2_borrows_the_cell_pool_and_matches_jobs_1(
+        self, name, cold_cache, monkeypatch
+    ):
+        harness, kwargs = HARNESSES[name]
+        cold_cache()
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = harness(**kwargs)
+        assert runner_module._CELL_POOL.pool is None
+        cold_cache()
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        pooled = harness(**kwargs)
+        pool = runner_module._CELL_POOL.pool
+        assert pool is not None
+        assert pool.pool_stats()["spawned"] == 2
+        if name == "classification_cost":
+            # The second column is a host timing; the chain length is not.
+            assert pooled.rows[0][0] == serial.rows[0][0]
+        else:
+            assert pooled.rows == serial.rows
+        assert pooled.notes == serial.notes
+
+    @pytest.mark.parametrize("name", sorted(HARNESSES))
+    def test_crashed_cells_degrade_the_result_not_raise(
+        self, name, cold_cache, monkeypatch
+    ):
+        harness, kwargs = HARNESSES[name]
+        cold_cache()
+        monkeypatch.setenv("REPRO_CHAOS", "crash=1.0")
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        monkeypatch.setenv("REPRO_BACKOFF", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = harness(**kwargs)
+        degraded = [n for n in result.notes if n.startswith("DEGRADED:")]
+        assert degraded, result.notes
+        assert "failed after retries" in degraded[0]
+        assert result.render()

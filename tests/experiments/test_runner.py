@@ -15,9 +15,10 @@ from repro.experiments.runner import (
     geometric_mean,
     make_policy,
     resolve_jobs,
-    run_application,
-    run_matrix,
+    run_scenario,
+    run_spec,
 )
+from repro.scenarios.spec import MatrixSpec, ScenarioSpec
 from repro.sim import cache as sim_cache
 from repro.policies import (
     ClockProPolicy,
@@ -59,38 +60,39 @@ class TestMakePolicy:
 
 class TestRunApplication:
     def test_basic_run(self):
-        result = run_application("STN", "lru", 0.75, scale=0.5)
+        result = run_spec(ScenarioSpec("STN", "lru", 0.75, scale=0.5))
         assert result.policy_name == "lru"
         assert result.workload_name == "STN"
         assert result.faults > 0
         assert result.extras["rate"] == 0.75
 
     def test_capacity_honours_rate(self):
-        result = run_application("HOT", "lru", 0.5, scale=0.5)
+        result = run_spec(ScenarioSpec("HOT", "lru", 0.5, scale=0.5))
         assert result.capacity_pages == result.footprint_pages // 2
 
 
 class TestRunMatrix:
     def test_matrix_contents(self):
-        matrix = run_matrix(["lru", "ideal"], rates=[0.75],
-                            apps=["STN"], scale=0.5)
+        matrix = run_scenario(MatrixSpec(("lru", "ideal"), (0.75,),
+                                         ("STN",), scale=0.5))
         assert matrix.get("STN", "lru", 0.75).faults > 0
         assert matrix.apps() == ["STN"]
 
     def test_speedup_and_eviction_helpers(self):
-        matrix = run_matrix(["lru", "ideal"], rates=[0.75],
-                            apps=["STN"], scale=0.5)
+        matrix = run_scenario(MatrixSpec(("lru", "ideal"), (0.75,),
+                                         ("STN",), scale=0.5))
         assert matrix.speedup("STN", "ideal", "lru", 0.75) >= 1.0
         assert matrix.eviction_ratio("STN", "lru", "ideal", 0.75) >= 1.0
 
     def test_missing_key_raises(self):
-        matrix = run_matrix(["lru"], rates=[0.75], apps=["STN"], scale=0.5)
+        matrix = run_scenario(MatrixSpec(("lru",), (0.75,), ("STN",),
+                                         scale=0.5))
         with pytest.raises(KeyError):
             matrix.get("STN", "hpe", 0.75)
 
     def test_progress_goes_to_stderr(self, capsys):
-        run_matrix(["lru"], rates=[0.75], apps=["STN"], scale=0.5,
-                   progress=True, jobs=1)
+        run_scenario(MatrixSpec(("lru",), (0.75,), ("STN",), scale=0.5),
+                     progress=True, jobs=1)
         captured = capsys.readouterr()
         assert "running STN / lru" in captured.err
         assert captured.out == ""
@@ -103,10 +105,9 @@ class TestRunMatrix:
     def test_empty_job_list_returns_empty_matrix(self, empty):
         # Regression: an empty cartesian product with jobs > 1 used to
         # reach Pool(processes=0) and raise ValueError.
-        kwargs = dict(rates=[0.75], apps=["STN"], jobs=4)
-        kwargs.update(empty)
-        policies = kwargs.pop("policies")
-        matrix = run_matrix(policies, **kwargs)
+        grid = dict(rates=[0.75], apps=["STN"])
+        grid.update(empty)
+        matrix = run_scenario(MatrixSpec(**grid), jobs=4)
         assert matrix.results == {}
         assert matrix.apps() == []
 
@@ -143,10 +144,10 @@ class TestParallelMatrix:
         # simulates in the workers instead of replaying cached entries.
         sim_cache.configure(enabled=False)
         try:
-            serial = run_matrix(["lru", "hpe"], rates=[0.75],
-                                apps=self.APPS, scale=0.25, jobs=1)
-            parallel = run_matrix(["lru", "hpe"], rates=[0.75],
-                                  apps=self.APPS, scale=0.25, jobs=4)
+            spec = MatrixSpec(("lru", "hpe"), (0.75,), tuple(self.APPS),
+                              scale=0.25)
+            serial = run_scenario(spec, jobs=1)
+            parallel = run_scenario(spec, jobs=4)
         finally:
             sim_cache.configure(enabled=True)
         assert set(serial.results) == set(parallel.results)
@@ -157,8 +158,9 @@ class TestParallelMatrix:
     def test_parallel_result_extras_survive_transport(self):
         sim_cache.configure(enabled=False)
         try:
-            matrix = run_matrix(["hpe"], rates=[0.75], apps=["STN"],
-                                scale=0.25, jobs=2)
+            matrix = run_scenario(
+                MatrixSpec(("hpe",), (0.75,), ("STN",), scale=0.25), jobs=2,
+            )
         finally:
             sim_cache.configure(enabled=True)
         result = matrix.get("STN", "hpe", 0.75)
@@ -193,10 +195,10 @@ class TestParallelMatrix:
         policies = ["lru", "hpe", "clock-pro"]
         sim_cache.configure(enabled=False)
         try:
-            serial = run_matrix(policies, rates=[0.75], apps=self.APPS,
-                                scale=0.25, jobs=1, seed=5)
-            parallel = run_matrix(policies, rates=[0.75], apps=self.APPS,
-                                  scale=0.25, jobs=2, seed=5)
+            spec = MatrixSpec(tuple(policies), (0.75,), tuple(self.APPS),
+                              seed=5, scale=0.25)
+            serial = run_scenario(spec, jobs=1)
+            parallel = run_scenario(spec, jobs=2)
         finally:
             sim_cache.configure(enabled=True)
         assert not log.exists(), log.read_text(encoding="utf-8")

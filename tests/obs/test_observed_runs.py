@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs as obs_module
-from repro.experiments.runner import run_application, run_matrix
+from repro.experiments.runner import run_scenario, run_spec
 from repro.obs import (
     JSONLEventTrace,
     Observation,
@@ -13,8 +13,15 @@ from repro.obs import (
     read_events,
     validate_file,
 )
+from repro.scenarios.spec import MatrixSpec, ScenarioSpec
 
-RUN = dict(scale=0.25, use_cache=False)
+#: Simulate afresh: a cached result carries no observation payloads.
+RUN = dict(use_cache=False)
+
+
+def stn(policy: str) -> ScenarioSpec:
+    """STN under ``policy`` at 75% oversubscription, scale 0.25."""
+    return ScenarioSpec("STN", policy, 0.75, scale=0.25)
 
 
 class TestTimeSeriesRecorder:
@@ -36,17 +43,17 @@ class TestTimeSeriesRecorder:
 
 class TestObservedRun:
     def test_disabled_run_carries_no_observation_payloads(self):
-        result = run_application("STN", "hpe", 0.75, obs=False, **RUN)
+        result = run_spec(stn("hpe"), obs=False, **RUN)
         assert "timeseries" not in result.extras
         assert "metrics" not in result.extras
 
     def test_key_metrics_bit_identical_with_obs_on(self):
-        plain = run_application("STN", "hpe", 0.75, obs=False, **RUN)
-        observed = run_application("STN", "hpe", 0.75, obs=True, **RUN)
+        plain = run_spec(stn("hpe"), obs=False, **RUN)
+        observed = run_spec(stn("hpe"), obs=True, **RUN)
         assert observed.key_metrics() == plain.key_metrics()
 
     def test_timeseries_one_snapshot_per_interval(self):
-        result = run_application("STN", "hpe", 0.75, obs=True, **RUN)
+        result = run_spec(stn("hpe"), obs=True, **RUN)
         policy = result.extras["policy"]
         snapshots = result.extras["timeseries"]
         assert len(snapshots) == policy.chain.intervals
@@ -54,13 +61,13 @@ class TestObservedRun:
             list(range(1, len(snapshots) + 1))
 
     def test_partition_sizes_sum_to_chain_length(self):
-        result = run_application("STN", "hpe", 0.75, obs=True, **RUN)
+        result = run_spec(stn("hpe"), obs=True, **RUN)
         for snapshot in result.extras["timeseries"]:
             assert snapshot["old"] + snapshot["middle"] + snapshot["new"] \
                 == snapshot["chain_length"]
 
     def test_final_snapshot_matches_live_chain(self):
-        result = run_application("STN", "hpe", 0.75, obs=True, **RUN)
+        result = run_spec(stn("hpe"), obs=True, **RUN)
         policy = result.extras["policy"]
         last = result.extras["timeseries"][-1]
         # The last snapshot precedes any post-interval faults, so compare
@@ -71,7 +78,7 @@ class TestObservedRun:
         assert last["resident_pages"] <= result.capacity_pages
 
     def test_registry_matches_driver_stats(self):
-        result = run_application("STN", "hpe", 0.75, obs=True, **RUN)
+        result = run_spec(stn("hpe"), obs=True, **RUN)
         counters = result.extras["metrics"]["counters"]
         assert counters["driver.faults"] == result.faults
         assert counters["driver.evictions"] == result.evictions
@@ -79,7 +86,7 @@ class TestObservedRun:
         assert counters["walker.faults"] == result.faults
 
     def test_non_hpe_policies_observe_too(self):
-        result = run_application("STN", "lru", 0.75, obs=True, **RUN)
+        result = run_spec(stn("lru"), obs=True, **RUN)
         counters = result.extras["metrics"]["counters"]
         assert counters["driver.faults"] == result.faults
         assert result.extras["timeseries"] == []  # no interval machinery
@@ -87,7 +94,7 @@ class TestObservedRun:
     def test_event_trace_schema_valid_end_to_end(self, tmp_path):
         path = tmp_path / "stn.events.jsonl"
         with Observation(trace=JSONLEventTrace(path, validate=True)) as obs:
-            result = run_application("STN", "hpe", 0.75, obs=obs, **RUN)
+            result = run_spec(stn("hpe"), obs=obs, **RUN)
         count = validate_file(path)
         assert count > 0
         events = list(read_events(path))
@@ -106,7 +113,7 @@ class TestObservedRun:
     def test_trace_seq_monotonic(self, tmp_path):
         path = tmp_path / "seq.events.jsonl"
         with Observation(trace=JSONLEventTrace(path, validate=True)) as obs:
-            run_application("STN", "hpe", 0.75, obs=obs, **RUN)
+            run_spec(stn("hpe"), obs=obs, **RUN)
         seqs = [e["seq"] for e in read_events(path)]
         assert seqs == list(range(len(seqs)))
 
@@ -116,7 +123,7 @@ class TestObservedRun:
         previous = sim_cache.cache_dir()
         sim_cache.configure(enabled=True, directory=tmp_path)
         try:
-            run_application("STN", "lru", 0.75, scale=0.25, obs=True)
+            run_spec(stn("lru"), obs=True)
             assert sim_cache.result_cache().entry_count() == 0
         finally:
             sim_cache.configure(enabled=True, directory=previous)
@@ -125,7 +132,7 @@ class TestObservedRun:
         monkeypatch.setattr(obs_module, "_enabled_override", None)
         monkeypatch.setenv(obs_module.ENV_OBS, "1")
         assert obs_module.enabled()
-        result = run_application("STN", "lru", 0.75, **RUN)
+        result = run_spec(stn("lru"), **RUN)
         assert "metrics" in result.extras
         monkeypatch.setenv(obs_module.ENV_OBS, "0")
         assert not obs_module.enabled()
@@ -135,23 +142,26 @@ class TestObservedMatrix:
     def test_parallel_matrix_merges_worker_registries(self, monkeypatch):
         monkeypatch.setattr(obs_module, "_enabled_override", None)
         monkeypatch.setenv(obs_module.ENV_OBS, "1")
-        matrix = run_matrix(["lru", "hpe"], rates=[0.75],
-                            apps=["STN"], scale=0.25, jobs=2)
+        matrix = run_scenario(
+            MatrixSpec(("lru", "hpe"), (0.75,), ("STN",), scale=0.25), jobs=2,
+        )
         total_faults = sum(r.faults for r in matrix.results.values())
         assert matrix.metrics.counter("driver.faults") == total_faults
 
     def test_serial_matrix_merges_too(self, monkeypatch):
         monkeypatch.setattr(obs_module, "_enabled_override", None)
         monkeypatch.setenv(obs_module.ENV_OBS, "1")
-        matrix = run_matrix(["lru"], rates=[0.75],
-                            apps=["STN"], scale=0.25, jobs=1)
+        matrix = run_scenario(
+            MatrixSpec(("lru",), (0.75,), ("STN",), scale=0.25), jobs=1,
+        )
         [result] = matrix.results.values()
         assert matrix.metrics.counter("driver.faults") == result.faults
 
     def test_unobserved_matrix_has_empty_metrics(self, monkeypatch):
         monkeypatch.setattr(obs_module, "_enabled_override", False)
-        matrix = run_matrix(["lru"], rates=[0.75],
-                            apps=["STN"], scale=0.25, jobs=1)
+        matrix = run_scenario(
+            MatrixSpec(("lru",), (0.75,), ("STN",), scale=0.25), jobs=1,
+        )
         assert len(matrix.metrics) == 0
 
 

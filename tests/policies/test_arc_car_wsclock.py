@@ -167,7 +167,8 @@ class TestWSClock:
 class TestEngineIntegration:
     @pytest.mark.parametrize("name", ["arc", "car", "wsclock"])
     def test_runs_through_full_simulator(self, name):
-        from repro.experiments.runner import run_application
-        result = run_application("STN", name, 0.75, scale=0.5)
+        from repro.experiments.runner import run_spec
+        from repro.scenarios.spec import ScenarioSpec
+        result = run_spec(ScenarioSpec("STN", name, 0.75, scale=0.5))
         assert result.faults >= result.footprint_pages
         assert result.evictions == result.faults - result.capacity_pages

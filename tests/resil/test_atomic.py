@@ -14,7 +14,6 @@ from repro.resil.atomic import (
     atomic_write_text,
     frame_payload,
     is_framed,
-    replace_into,
     unframe_payload,
 )
 
@@ -86,11 +85,3 @@ class TestAtomicWrites:
         atomic_write_json(target, {"mean": 1.5, "runs": [1, 2]})
         assert json.loads(target.read_text()) == {"mean": 1.5, "runs": [1, 2]}
         assert target.read_text().endswith("\n")
-
-    def test_replace_into_publishes(self, tmp_path):
-        tmp = tmp_path / ".work.tmp"
-        tmp.write_bytes(b"staged")
-        target = tmp_path / "final.bin"
-        replace_into(tmp, target)
-        assert target.read_bytes() == b"staged"
-        assert not tmp.exists()

@@ -1,4 +1,4 @@
-"""End-to-end resilience of `run_matrix`: chaos, degradation, resume.
+"""End-to-end resilience of `run_scenario`: chaos, degradation, resume.
 
 The acceptance criteria of the resilience work live here:
 
@@ -23,7 +23,7 @@ import warnings
 import pytest
 
 from repro.experiments import runner as runner_module
-from repro.experiments.runner import RunKey, matrix_run_id, run_matrix
+from repro.experiments.runner import RunKey, run_scenario
 from repro.resil import MatrixInterrupted, WorkerSupervisor
 from repro.resil import chaos as resil_chaos
 from repro.resil import journal as resil_journal
@@ -64,13 +64,16 @@ def _digests(matrix):
     return {key: result.metrics_digest() for key, result in matrix.results.items()}
 
 
-def _run(**overrides):
-    kwargs = dict(
-        policies=POLICIES, rates=RATES, apps=APPS, scale=SCALE, backoff=0.0
-    )
-    kwargs.update(overrides)
-    policies = kwargs.pop("policies")
-    return run_matrix(policies, **kwargs)
+def _spec(**fields):
+    """The test grid, with ``fields`` replaced."""
+    grid = dict(policies=POLICIES, rates=RATES, apps=APPS, scale=SCALE)
+    grid.update(fields)
+    return MatrixSpec(**grid)
+
+
+def _run(spec=None, **options):
+    options.setdefault("backoff", 0.0)
+    return run_scenario(spec or _spec(), **options)
 
 
 class TestJournalledRun:
@@ -86,27 +89,24 @@ class TestJournalledRun:
         assert summary.failed == {}
 
     def test_run_id_is_deterministic(self):
-        first, hash_first = matrix_run_id(
-            POLICIES, RATES, APPS, seed=7, scale=SCALE
-        )
-        second, hash_second = matrix_run_id(
-            POLICIES, RATES, APPS, seed=7, scale=SCALE
-        )
-        other, _ = matrix_run_id(POLICIES, RATES, APPS, seed=8, scale=SCALE)
-        assert (first, hash_first) == (second, hash_second)
-        assert other != first
+        first = _spec(seed=7)
+        second = _spec(seed=7)
+        other = _spec(seed=8).run_id()
+        assert (first.run_id(), first.spec_hash()) == \
+            (second.run_id(), second.spec_hash())
+        assert other != first.run_id()
 
     def test_no_journal_when_cache_disabled(self, tmp_path):
         previous = sim_cache.cache_dir()
         sim_cache.configure(enabled=False, directory=tmp_path / "cache")
         try:
-            matrix = _run(policies=["lru"], apps=["STN"])
+            matrix = _run(_spec(policies=["lru"], apps=["STN"]))
             assert not resil_journal.journal_path(matrix.run_id).is_file()
         finally:
             sim_cache.configure(enabled=True, directory=previous)
 
     def test_empty_matrix_short_circuits(self, fresh_cache):
-        matrix = run_matrix(["lru"], rates=[], apps=APPS)
+        matrix = run_scenario(_spec(policies=["lru"], rates=[]))
         assert matrix.results == {} and not matrix.degraded
 
 
@@ -147,10 +147,10 @@ class TestResumeEquivalence:
         # torn=1.0 corrupts every persistent result entry as written
         # (seed 11 keeps these digests distinct from other tests' — a
         # digest is only torn once per process).
-        first = _run(jobs=jobs, seed=11, chaos="torn=1.0,seed=5")
+        first = _run(_spec(seed=11), jobs=jobs, chaos="torn=1.0,seed=5")
         assert not first.degraded
         before = sim_cache.result_cache().stats.result_corrupt
-        second = _run(seed=11)
+        second = _run(_spec(seed=11))
         assert sim_cache.result_cache().stats.result_corrupt > before
         assert _digests(second) == _digests(first)
 
@@ -222,7 +222,8 @@ class TestSupervisedPath:
             raise AssertionError("in-process executor must not run when jobs > 1")
 
         monkeypatch.setattr(WorkerSupervisor, "_run_in_process", _no_in_process)
-        matrix = _run(policies=["lru"], apps=["STN"], jobs=2, timeout=120.0)
+        matrix = _run(_spec(policies=["lru"], apps=["STN"]), jobs=2,
+                      timeout=120.0)
         assert not matrix.degraded
         assert len(matrix.results) == 1
 

@@ -1,13 +1,10 @@
-"""Acceptance: legacy grid arguments and explicit specs are one identity.
+"""Acceptance: every spelling of one grid is one identity.
 
-The PR's contract: constructing the paper grid through the legacy
-``run_matrix`` signature and through an explicit
-:class:`~repro.scenarios.spec.MatrixSpec` must produce identical run
-ids, identical per-cell cache digests, and bit-identical
-``key_metrics()`` — with the second form served warm from the cache the
-first form populated.  Plus the regression the spec refactor exists to
-fix: ``run_matrix(config=GPUConfig())`` resumes the journal written by
-``run_matrix()``.
+A :class:`~repro.scenarios.spec.MatrixSpec` built with ``config=None``
+and one built with the explicit default ``GPUConfig()`` must produce the
+same run id, so the second resumes the journal the first wrote — the
+regression the spec refactor exists to fix.  Plus the prefetch sweep's
+caching and NaN handling.
 """
 
 from __future__ import annotations
@@ -16,12 +13,7 @@ import math
 
 import pytest
 
-from repro.experiments.runner import (
-    RunKey,
-    matrix_run_id,
-    run_matrix,
-    run_scenario,
-)
+from repro.experiments.runner import ResultMatrix, RunKey, run_scenario
 from repro.resil import MatrixInterrupted
 from repro.resil import chaos as resil_chaos
 from repro.resil import journal as resil_journal
@@ -50,62 +42,31 @@ def fresh_cache(tmp_path):
     sim_cache.configure(enabled=True, directory=previous)
 
 
-def _key_metrics(matrix):
-    return {key: result.key_metrics()
-            for key, result in matrix.results.items()}
-
-
 class TestLegacyAndSpecForms:
-    def test_paper_grid_both_forms_identical(self, fresh_cache):
-        """The ISSUE acceptance test, on a scaled-down paper grid."""
-        spec = MatrixSpec(policies=POLICIES, rates=RATES, apps=APPS,
-                          scale=SCALE)
-
-        legacy = run_matrix(list(POLICIES), rates=list(RATES),
-                            apps=list(APPS), scale=SCALE)
-        hits_before = sim_cache.result_cache().stats.result_hits
-        explicit = run_scenario(spec)
-        hits_after = sim_cache.result_cache().stats.result_hits
-
-        # Identical run ids...
-        assert legacy.run_id == explicit.run_id == spec.run_id()
-        # ...identical cell digests...
-        legacy_digests = {k: r.extras["scenario_digest"]
-                          for k, r in legacy.results.items()}
-        spec_digests = {
-            RunKey(c.workload, c.policy, c.rate): c.digest()
-            for c in spec.cells()
-        }
-        assert legacy_digests == spec_digests
-        # ...bit-identical key metrics...
-        assert _key_metrics(legacy) == _key_metrics(explicit)
-        # ...with every cell of the second form a warm cache hit.
-        assert hits_after - hits_before == len(spec.cells())
-
     def test_run_id_ignores_explicit_default_configs(self):
         """The drift bug: None and default instances hash identically."""
-        bare = matrix_run_id(POLICIES, RATES, APPS, seed=7, scale=SCALE)
-        explicit = matrix_run_id(POLICIES, RATES, APPS, seed=7, scale=SCALE,
-                                 config=GPUConfig())
-        assert bare == explicit
+        bare = MatrixSpec(POLICIES, RATES, APPS, seed=7, scale=SCALE)
+        explicit = MatrixSpec(POLICIES, RATES, APPS, seed=7, scale=SCALE,
+                              config=GPUConfig())
+        assert (bare.run_id(), bare.spec_hash()) == \
+            (explicit.run_id(), explicit.spec_hash())
         # A config that actually differs still separates the runs.
-        tuned = matrix_run_id(POLICIES, RATES, APPS, seed=7, scale=SCALE,
-                              config=GPUConfig().with_walk_latency(20))
-        assert tuned != bare
+        tuned = MatrixSpec(POLICIES, RATES, APPS, seed=7, scale=SCALE,
+                           config=GPUConfig().with_walk_latency(20))
+        assert tuned.run_id() != bare.run_id()
 
     def test_cross_form_resume(self, fresh_cache):
         """A run interrupted under the bare form resumes under the
-        explicit-default-config form — the exact call pair the old
-        ``matrix_run_id`` split into two unrelated journals."""
+        explicit-default-config form — the exact pair the old run-id
+        helper split into two unrelated journals."""
         with pytest.raises(MatrixInterrupted) as excinfo:
-            run_matrix(list(POLICIES), rates=list(RATES), apps=list(APPS),
-                       scale=SCALE, chaos="sigterm=2,seed=3", backoff=0.0)
+            run_scenario(MatrixSpec(POLICIES, RATES, APPS, scale=SCALE),
+                         chaos="sigterm=2,seed=3", backoff=0.0)
         interrupted = excinfo.value
         assert interrupted.completed == 2
 
-        resumed = run_matrix(list(POLICIES), rates=list(RATES),
-                             apps=list(APPS), scale=SCALE,
-                             config=GPUConfig())
+        resumed = run_scenario(MatrixSpec(POLICIES, RATES, APPS, scale=SCALE,
+                                          config=GPUConfig()))
         assert resumed.run_id == interrupted.run_id
         assert len(resumed.results) == 4
         summary = resil_journal.load(interrupted.run_id)
@@ -113,12 +74,11 @@ class TestLegacyAndSpecForms:
         assert summary.ended and summary.segments == 2
 
     def test_journal_records_spec_hash(self, fresh_cache):
-        matrix = run_matrix(["lru"], rates=list(RATES), apps=["STN"],
-                            scale=SCALE)
-        summary = resil_journal.load(matrix.run_id)
-        assert summary is not None
         spec = MatrixSpec(policies=("lru",), rates=RATES, apps=("STN",),
                           scale=SCALE)
+        matrix = run_scenario(spec)
+        summary = resil_journal.load(matrix.run_id)
+        assert summary is not None
         assert summary.spec["spec_hash"] == spec.spec_hash()
         assert "custom_config" not in summary.spec
         assert summary.spec["family"] == "paper"
@@ -142,13 +102,19 @@ class TestPrefetchSweepCaching:
         truthy and propagated it as a denominator)."""
         from repro.experiments import sensitivity
 
-        def _nan_run(app, policy, rate, **kwargs):
-            class _Result:
-                faults = 10
-                ipc = float("nan")
-            return _Result()
+        class _Result:
+            faults = 10
+            ipc = float("nan")
+            extras: dict = {}
 
-        monkeypatch.setattr(sensitivity, "run_application", _nan_run)
+        def _nan_run(spec, **kwargs):
+            matrix = ResultMatrix()
+            for cell in spec.cells():
+                key = RunKey(cell.workload, cell.policy, cell.rate)
+                matrix.put(key, _Result())
+            return matrix
+
+        monkeypatch.setattr(sensitivity, "run_scenario", _nan_run)
         with pytest.warns(RuntimeWarning):
             result = sensitivity.prefetch(apps=["HOT"], degrees=(0, 3))
         for row in result.rows:

@@ -136,19 +136,28 @@ class TestScenarioSpecCanonical:
         assert clone == spec
         assert clone.digest() == spec.digest()
 
-    def test_digest_matches_cache_fingerprint(self):
-        """sim_cache.fingerprint is a pure alias of ScenarioSpec.digest."""
-        spec = ScenarioSpec(workload="BFS", policy="hpe", rate=0.75,
-                            seed=11, scale=0.5, prefetch_degree=3)
-        assert spec.digest() == sim_cache.fingerprint(
-            "BFS", "hpe", 0.75, seed=11, scale=0.5, prefetch_degree=3
-        )
-        assert spec.digest() == sim_cache.fingerprint(
-            "bfs", "HPE", 0.75, seed=11, scale=0.5,
-            config=GPUConfig(), hpe_config=HPEConfig(), prefetch_degree=3,
-        )
+    def test_digest_keys_the_result_cache(self, tmp_path):
+        """run_spec stores a result under its spec's digest, whatever
+        spelling of the same cell asked for it."""
+        from repro.experiments.runner import run_spec
 
-    def test_stable_config_repr_none(self):
+        spec = ScenarioSpec(workload="STN", policy="hpe", rate=0.75,
+                            seed=11, scale=0.25, prefetch_degree=3)
+        previous = sim_cache.cache_dir()
+        sim_cache.configure(enabled=True, directory=tmp_path)
+        try:
+            result = run_spec(ScenarioSpec(
+                workload="stn", policy="HPE", rate=0.75, seed=11, scale=0.25,
+                config=GPUConfig(), hpe_config=HPEConfig(), prefetch_degree=3,
+            ))
+            assert result.extras["scenario_digest"] == spec.digest()
+            cached = sim_cache.result_cache().get(spec.digest())
+        finally:
+            sim_cache.configure(enabled=True, directory=previous)
+        assert cached is not None
+        assert cached.key_metrics() == result.key_metrics()
+
+    def test_none_config_repr(self):
         assert stable_config_repr(None) == "None"
         assert stable_config_repr(GPUConfig()).startswith("GPUConfig(")
 

@@ -86,6 +86,47 @@ class TestDiffCommand:
                 parser.parse_args(["golden", *flag])
 
 
+class TestHarnessCommands:
+    @pytest.fixture
+    def fresh_cache(self, tmp_path, monkeypatch):
+        """An empty cache (chaos only reaches cells that run) and an
+        environment restored afterwards: ``main`` writes the flags'
+        variables into ``os.environ``."""
+        from repro.resil import chaos as resil_chaos
+        from repro.sim import cache as sim_cache
+
+        for name in ("REPRO_CHAOS", "REPRO_JOBS"):
+            monkeypatch.setenv(name, "")
+            monkeypatch.delenv(name)
+        previous = sim_cache.cache_dir()
+        sim_cache.configure(enabled=True, directory=tmp_path / "cache")
+        resil_chaos.deactivate()
+        yield tmp_path / "cache"
+        resil_chaos.deactivate()
+        sim_cache.configure(enabled=True, directory=previous)
+
+    def test_unknown_app_exits_2_before_any_cell_runs(self, fresh_cache,
+                                                      capsys):
+        from repro.resil import journal as resil_journal
+
+        assert main(["figure", "10", "--apps", "BOGUS,STN",
+                     "--scale", "0.25"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown application(s) BOGUS" in err
+        assert "STN" in err and "HYB" in err  # the known list
+        assert resil_journal.list_runs() == []
+
+    def test_interrupted_figure_exits_75_then_completes(self, fresh_cache,
+                                                        monkeypatch, capsys):
+        command = ["figure", "13", "--apps", "STN,HOT", "--scale", "0.25"]
+        assert main(command + ["--chaos", "sigterm=1"]) == 75
+        assert "resume with: hpe-repro resume run-" in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_CHAOS")
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert "STN 75%" in out and "DEGRADED" not in out
+
+
 class TestCacheCommand:
     def test_info_reports_location(self, capsys):
         assert main(["cache", "info"]) == 0

@@ -20,7 +20,8 @@ from repro import (
 )
 from repro.core.classifier import Category
 from repro.core.strategies import StrategyKind
-from repro.experiments.runner import run_application
+from repro.experiments.runner import run_spec
+from repro.scenarios.spec import ScenarioSpec
 from repro.workloads import get_application, streaming, thrashing
 
 
@@ -46,8 +47,8 @@ class TestThrashingShape:
 
     def test_hsd_best_case_speedup(self):
         """HSD is the paper's 2.81x headline; ours must exceed 2x."""
-        lru = run_application("HSD", "lru", 0.75)
-        hpe = run_application("HSD", "hpe", 0.75)
+        lru = run_spec(ScenarioSpec("HSD", "lru", 0.75))
+        hpe = run_spec(ScenarioSpec("HSD", "hpe", 0.75))
         assert hpe.ipc / lru.ipc > 2.0
 
 
@@ -71,22 +72,22 @@ class TestPolicyOrdering:
     @pytest.mark.parametrize("app", ["HSD", "MRQ", "GEM"])
     def test_hpe_not_worse_than_baselines(self, app):
         spec = get_application(app)
-        hpe = run_application(app, "hpe", 0.75)
+        hpe = run_spec(ScenarioSpec(app, "hpe", 0.75))
         for baseline in ("random", "rrip", "clock-pro"):
-            other = run_application(app, baseline, 0.75)
+            other = run_spec(ScenarioSpec(app, baseline, 0.75))
             assert hpe.evictions <= other.evictions * 1.05
 
     def test_ideal_lower_bounds_everyone(self):
         for app in ("HSD", "BFS", "HOT"):
-            ideal = run_application(app, "ideal", 0.75)
+            ideal = run_spec(ScenarioSpec(app, "ideal", 0.75))
             for policy in ("lru", "hpe", "random", "rrip", "clock-pro"):
-                other = run_application(app, policy, 0.75)
+                other = run_spec(ScenarioSpec(app, policy, 0.75))
                 assert ideal.faults <= other.faults
 
     def test_lru_wins_type_vi_over_rrip(self):
         """Fig. 12: frequency-based policies lose on region moving."""
-        lru = run_application("B+T", "lru", 0.75)
-        rrip = run_application("B+T", "rrip", 0.75)
+        lru = run_spec(ScenarioSpec("B+T", "lru", 0.75))
+        rrip = run_spec(ScenarioSpec("B+T", "rrip", 0.75))
         assert lru.evictions <= rrip.evictions
 
 
@@ -111,7 +112,7 @@ class TestClassificationShape:
         EXPECTED.items(), key=lambda kv: kv[0]
     ))
     def test_category(self, app, category):
-        result = run_application(app, "hpe", 0.75)
+        result = run_spec(ScenarioSpec(app, "hpe", 0.75))
         assert result.extras["policy"].category is category
 
 
@@ -119,33 +120,33 @@ class TestDynamicAdjustmentShape:
     """Fig. 13 behaviours."""
 
     def test_bfs_switches_to_mru_c(self):
-        result = run_application("BFS", "hpe", 0.75)
+        result = run_spec(ScenarioSpec("BFS", "hpe", 0.75))
         policy = result.extras["policy"]
         timeline = policy.adjustment.timeline(policy.stats.faults)
         assert timeline[0].strategy is StrategyKind.LRU
         assert any(seg.strategy is StrategyKind.MRU_C for seg in timeline)
 
     def test_srd_adjusts_search_point(self):
-        result = run_application("SRD", "hpe", 0.75)
+        result = run_spec(ScenarioSpec("SRD", "hpe", 0.75))
         policy = result.extras["policy"]
         assert policy.adjustment.stats.jump_adjustments >= 1
 
     def test_stn_jump_is_gated(self):
-        result = run_application("STN", "hpe", 0.75)
+        result = run_spec(ScenarioSpec("STN", "hpe", 0.75))
         policy = result.extras["policy"]
         assert not policy.adjustment.jump_allowed
         assert policy.adjustment.jump == 0
 
     @pytest.mark.parametrize("app", ["KMN", "NW", "MVT", "SPV", "B+T", "HYB"])
     def test_lru_entire_group(self, app):
-        result = run_application(app, "hpe", 0.75)
+        result = run_spec(ScenarioSpec(app, "hpe", 0.75))
         policy = result.extras["policy"]
         timeline = policy.adjustment.timeline(policy.stats.faults)
         assert all(seg.strategy is StrategyKind.LRU for seg in timeline)
 
     @pytest.mark.parametrize("app", ["HOT", "PAT", "MRQ", "STN", "GEM"])
     def test_mru_c_entire_group(self, app):
-        result = run_application(app, "hpe", 0.75)
+        result = run_spec(ScenarioSpec(app, "hpe", 0.75))
         policy = result.extras["policy"]
         timeline = policy.adjustment.timeline(policy.stats.faults)
         assert all(seg.strategy is StrategyKind.MRU_C for seg in timeline)
@@ -153,7 +154,7 @@ class TestDynamicAdjustmentShape:
 
 class TestDivisionShape:
     def test_nw_divides_page_sets(self):
-        result = run_application("NW", "hpe", 0.75)
+        result = run_spec(ScenarioSpec("NW", "hpe", 0.75))
         policy = result.extras["policy"]
         assert policy.stats.divisions > 0
         # Division is partial: "some page sets do not meet the division
@@ -163,7 +164,7 @@ class TestDivisionShape:
 
     @pytest.mark.parametrize("app", ["HOT", "HSD", "PAT", "B+T"])
     def test_most_apps_never_divide(self, app):
-        result = run_application(app, "hpe", 0.75)
+        result = run_spec(ScenarioSpec(app, "hpe", 0.75))
         assert result.extras["policy"].stats.divisions == 0
 
 
@@ -191,7 +192,7 @@ class TestClassificationStability:
     def test_same_category_at_both_rates(self, app):
         categories = []
         for rate in (0.75, 0.50):
-            result = run_application(app, "hpe", rate)
+            result = run_spec(ScenarioSpec(app, "hpe", rate))
             categories.append(result.extras["policy"].category)
         assert categories[0] is categories[1]
 
@@ -201,11 +202,11 @@ class TestExtendedBaselines:
 
     @pytest.mark.parametrize("policy", ["arc", "car", "wsclock"])
     def test_hpe_beats_related_work_on_thrashing(self, policy):
-        hpe = run_application("HSD", "hpe", 0.75)
-        other = run_application("HSD", policy, 0.75)
+        hpe = run_spec(ScenarioSpec("HSD", "hpe", 0.75))
+        other = run_spec(ScenarioSpec("HSD", policy, 0.75))
         assert hpe.evictions < other.evictions
 
     def test_arc_ghosts_bounded_end_to_end(self):
-        result = run_application("HIS", "arc", 0.75)
+        result = run_spec(ScenarioSpec("HIS", "arc", 0.75))
         policy = result.extras["policy"]
         assert policy.ghost_count <= 2 * result.capacity_pages

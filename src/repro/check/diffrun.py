@@ -12,9 +12,9 @@ through both and reports every observable difference:
   :class:`~repro.uvm.driver.DriverStats`;
 * final structural state: frame map, every page-table entry (valid
   or tombstone), and the exact per-set LRU order of every TLB;
-* optionally the **observation event stream** (observed runs take the
-  kernel's driver sub-path and must still produce the identical
-  stream).
+* optionally the **observation event stream** (runs with an event
+  sink take the kernel's driver sub-path and must still produce the
+  identical stream).
 
 The tiers are compared for **equality** (:func:`compare_levels`).
 ``tests/diff`` drives this against the seeded generators in

@@ -401,7 +401,7 @@ class InvariantChecker:
         )
         seen: dict = {}
         for name, partition in partitions:
-            for key, entry in chain.partition_items(partition):
+            for key, entry in chain.iter_partition_items(partition):
                 if entry.key != key:
                     self._fail(
                         "chain-partition",
@@ -445,7 +445,7 @@ class InvariantChecker:
         self._tick()
         size = policy.config.page_set_size
         full_mask = (1 << size) - 1
-        for entry in policy.chain.iter_entries():
+        for entry in policy.chain.iter_payloads_lru():
             if entry.resident_mask == 0:
                 self._fail(
                     "chain-resident",
@@ -489,7 +489,7 @@ class InvariantChecker:
         chain = policy.chain
         full_mask = policy._full_mask
         secondaries = [
-            entry for entry in chain.iter_entries()
+            entry for entry in chain.iter_payloads_lru()
             if entry.part is SetPart.SECONDARY
         ]
         for secondary in secondaries:
@@ -528,7 +528,7 @@ class InvariantChecker:
         geometry = policy.geometry
         chain_resident = 0
         seen_pages: set = set()
-        for entry in policy.chain.iter_entries():
+        for entry in policy.chain.iter_payloads_lru():
             first = geometry.first_page_of(entry.tag)
             mask = entry.resident_mask
             offset = 0

@@ -1016,11 +1016,22 @@ def _run_watch(args: argparse.Namespace) -> int:
     return _print_job_view(final.body)
 
 
+def _named_apps(args: argparse.Namespace) -> list[str]:
+    """Every application the command line names, upper-cased: ``--apps``,
+    ``--app`` and the positional APP (a run id for ``check journal``)."""
+    names = _apps_arg(getattr(args, "apps", None)) or []
+    given = [getattr(args, "app", None)]
+    if not (args.command == "check" and args.mode == "journal"):
+        given.append(getattr(args, "app_pos", None))
+    return names + [name.upper() for name in given if name]
+
+
 def _dispatch(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
-    # Refuse an unknown --apps name before any cell runs (a matrix would
-    # retry the missing workload, then the renderer would fail on it).
-    unknown = [app for app in _apps_arg(getattr(args, "apps", None)) or ()
+    # Refuse an unknown application before anything runs (a matrix would
+    # retry the missing workload, then the renderer would fail on it; a
+    # single run would die in the workload lookup).
+    unknown = [app for app in _named_apps(args)
                if app not in APPLICATION_ORDER]
     if unknown:
         print(f"{args.command}: unknown application(s) {', '.join(unknown)} "

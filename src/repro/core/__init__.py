@@ -6,7 +6,6 @@ from repro.core.adjustment import (
     EvictionFIFO,
     StrategySegment,
 )
-from repro.core.chain import PageSetChain
 from repro.core.classifier import (
     Category,
     Classification,
@@ -40,7 +39,6 @@ __all__ = [
     "HPEPolicy",
     "HPEStats",
     "HistoryBuffer",
-    "PageSetChain",
     "PageSetEntry",
     "SetPart",
     "StrategyKind",

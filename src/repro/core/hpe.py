@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.adjustment import DynamicAdjustment
-from repro.core.chain import PageSetChain
 from repro.core.classifier import (
     DEFAULT_RATIO1_THRESHOLD,
     Category,
@@ -36,6 +35,7 @@ from repro.core.classifier import (
 from repro.core.hir import HIRCache
 from repro.core.history import HistoryBuffer
 from repro.core.pageset import PageSetEntry, SetPart
+from repro.core.soa import OLD, ArrayChain
 from repro.core.strategies import StrategyKind
 from repro.memory.addressing import PageSetGeometry
 from repro.obs import finite_or_none as _finite_or_none
@@ -122,7 +122,8 @@ class HPEPolicy(EvictionPolicy):
     def __init__(self, config: HPEConfig = HPEConfig()) -> None:
         self.config = config
         self.geometry = PageSetGeometry(config.page_set_size)
-        self.chain = PageSetChain(config.page_set_size)
+        #: The page set chain (Fig. 5), keyed by ``(tag, part)``.
+        self.chain = ArrayChain()
         self.hir = HIRCache(
             self.geometry,
             entries=config.hir_entries,
@@ -148,9 +149,6 @@ class HPEPolicy(EvictionPolicy):
         self._forced_strategy = config.forced_strategy
         self._shift = self.geometry.shift
         self._offset_mask = self.geometry.offset_mask
-        #: The chain's list-backed store: one method call per chain
-        #: operation on the fault path.
-        self._array = self.chain.array
 
     # ------------------------------------------------------------------
     # Observability
@@ -239,7 +237,7 @@ class HPEPolicy(EvictionPolicy):
         undivided primary.  The member mask and divided flag are what a
         newly created entry under that key gets.
         """
-        get = self._array.get
+        get = self.chain.get
         hist = self.history.primary_mask(tag)
         if hist is not None:
             if (hist >> offset) & 1:
@@ -290,7 +288,7 @@ class HPEPolicy(EvictionPolicy):
             # being recorded and the transfer arriving.  Drop it.
             return
         entry.touch(count)
-        self._array.promote(key)
+        self.chain.promote(key)
         if entry.counter >= self._division_threshold:
             self._maybe_divide(entry)
 
@@ -327,7 +325,7 @@ class HPEPolicy(EvictionPolicy):
         key, entry, member_mask, divided = self._route_entry(
             page >> self._shift, offset
         )
-        chain = self._array
+        chain = self.chain
         if entry is None:
             part = key[1]
             entry = PageSetEntry(
@@ -360,7 +358,7 @@ class HPEPolicy(EvictionPolicy):
 
     def _classify_now(self) -> None:
         classification = classify(
-            self.chain.counters(),
+            [entry.counter for entry in self.chain.iter_payloads_lru()],
             self.config.page_set_size,
             self.config.ratio1_threshold,
         )
@@ -376,7 +374,7 @@ class HPEPolicy(EvictionPolicy):
             page_set_size=self.config.page_set_size,
             fifo_depth=self.config.fifo_depth,
             jump_distance=self.config.jump_distance,
-            old_sets_at_first_full=self.chain.old_size,
+            old_sets_at_first_full=self.chain.partition_sizes()[OLD],
             allow_irregular1_switch=self.config.allow_irregular1_switch,
             enabled=self.config.enable_adjustment,
         )
@@ -385,7 +383,7 @@ class HPEPolicy(EvictionPolicy):
             self.adjustment.obs = obs
             census = classification.census
             obs.registry.set_gauge(
-                "hpe.first_full.old_sets", self.chain.old_size
+                "hpe.first_full.old_sets", self.chain.partition_sizes()[OLD]
             )
             obs.emit(
                 "classification",
@@ -424,15 +422,15 @@ class HPEPolicy(EvictionPolicy):
         if strategy is None:
             assert adjustment is not None
             strategy = adjustment.strategy
-        array = self._array
+        chain = self.chain
         entry: Optional[PageSetEntry]
         if strategy is _MRU_C:
-            entry, comparisons = array.mru_c_search(
+            entry, comparisons = chain.mru_c_search(
                 self._page_set_size,
                 adjustment.jump if adjustment is not None else 0,
             )
         else:
-            entry = array.first_payload()
+            entry = chain.first_payload()
             comparisons = 1
         if entry is None:
             raise PolicyError("HPE chain is empty; nothing to evict")
@@ -447,7 +445,7 @@ class HPEPolicy(EvictionPolicy):
         entry.mark_evicted(offset)
         self._resident_pages -= 1
         if not entry.resident_mask:
-            array.remove(entry.key)
+            chain.remove(entry.key)
             if entry.divided and entry.part is _PRIMARY:
                 self.history.record(entry.tag, entry.member_mask)
         if adjustment is not None:

@@ -1,9 +1,9 @@
-"""Struct-of-arrays backing store for HPE's page set chain.
+"""Struct-of-arrays page set chain: HPE's chain (``HPEPolicy.chain``).
 
 The object-per-page-set chain paid per fault for three ``OrderedDict``
 partitions probed in sequence on every lookup, an ``O(middle)`` merge on
 every interval advance, and a dict node per entry. :class:`ArrayChain`
-is the flat replacement behind the existing interface: the
+is its flat replacement, and HPE's fault path calls it directly: the
 three-partition recency chain realised as index-linked ``prev``/``next``
 lists plus an interval *stamp* per slot. The partition of a slot is
 **derived** (``intervals - stamp``), so advancing the interval is an
@@ -16,8 +16,9 @@ The chain is **bit-identical** in observable behaviour to the object
 implementation it replaces; ``tests/core/test_soa.py`` proves it with
 seeded randomized op-sequence (metamorphic) equivalence runs against
 the retained reference implementation
-(:class:`repro.core.chain.ReferencePageSetChain`), and the MRU-C walk
-against the generator-based search it replaced.
+(:class:`repro.core.chain.ReferencePageSetChain`, which answers to the
+same method names), and the MRU-C walk against the generator-based
+search it replaced.
 """
 
 from __future__ import annotations

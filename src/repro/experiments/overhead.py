@@ -49,7 +49,7 @@ def hir_storage(
     """Storage cost of HIR versus an in-order address buffer.
 
     A failed cell is left out of its rate's saving statistics (and
-    flagged in the notes).
+    flagged in the notes); a rate with no saving left reads NaN.
     """
     apps = _apps(apps)
     matrix = run_scenario(MatrixSpec(
@@ -70,8 +70,8 @@ def hir_storage(
         rows.append([
             f"{rate:.0%}",
             arithmetic_mean(savings),
-            min(savings) if savings else 0.0,
-            max(savings) if savings else 0.0,
+            min(savings, default=math.nan),
+            max(savings, default=math.nan),
         ])
     return FigureResult(
         "Ovh.HIR", "HIR storage saving vs in-order address buffer",
@@ -144,7 +144,7 @@ def classification_cost(
     policy = _hpe(matrix, app, rate)
     row: list[object] = [math.nan, math.nan]
     if policy is not None:
-        counters = policy.chain.counters()
+        counters = [e.counter for e in policy.chain.iter_payloads_lru()]
         start = time.perf_counter()
         for _ in range(repeats):
             classify(counters, policy.config.page_set_size)

@@ -441,8 +441,8 @@ class _CellPoolLender:
     Started by the first ``jobs >= 2`` call that brings no pool of its
     own and reused while :func:`_fork_state` is unchanged.  A call whose
     state differs replaces the pool when it is idle, and otherwise gets
-    ``None`` (it builds a pool for itself), so no run is interrupted by
-    another caller's settings.
+    a private pool that :meth:`give_back` closes, so no run is
+    interrupted by another caller's settings.
     """
 
     def __init__(self) -> None:
@@ -457,12 +457,15 @@ class _CellPoolLender:
         timeout: Optional[float],
         retries: Optional[int],
         backoff: Optional[float],
-    ) -> Optional[WorkerSupervisor]:
+    ) -> WorkerSupervisor:
         state = _fork_state(jobs, timeout, retries, backoff)
         with self._lock:
             if self.pool is not None and self._state != state:
                 if self._runs:
-                    return None
+                    return start_cell_pool(
+                        jobs, timeout=timeout, retries=retries,
+                        backoff=backoff,
+                    )
                 self._close_locked()
             if self.pool is None:
                 self.pool = start_cell_pool(
@@ -473,14 +476,17 @@ class _CellPoolLender:
             return self.pool
 
     def give_back(self, pool: WorkerSupervisor, interrupted: bool) -> None:
-        """End one run on ``pool``; an interrupted run that was the last
-        one on it closes it, as a per-call pool terminates its workers."""
+        """End one run on ``pool``: an interrupted run that was the last
+        one on the lent pool closes it, and a private pool is closed."""
         with self._lock:
-            if pool is not self.pool:
-                return  # closed (and maybe replaced) while it ran
-            self._runs -= 1
-            if interrupted and not self._runs:
-                self._close_locked()
+            if pool is self.pool:
+                self._runs -= 1
+                if interrupted and not self._runs:
+                    self._close_locked()
+                return
+        # A private pool, or the lent one, closed (and maybe replaced)
+        # while this run was on it: closing is idempotent.
+        pool.close()
 
     def close(self) -> None:
         with self._lock:
@@ -578,11 +584,12 @@ def run_scenario(
     switch and directory, the sanitizer switches and every ``REPRO_*``
     environment variable.  A call whose state differs closes the idle
     pool and starts a new one, or, when another thread's run is on it,
-    runs on a pool of its own.  An interrupted run closes the borrowed
-    pool (unless another run is still on it); :func:`close_cell_pool`
-    closes it, and so does interpreter exit.  Long-lived workers build
-    the traces they use into their own :class:`TraceCache`; this
-    process builds none for them.
+    runs on a private pool of ``jobs`` workers that is closed when the
+    call ends.  An interrupted run closes the borrowed pool (unless
+    another run is still on it); :func:`close_cell_pool` closes it, and
+    so does interpreter exit.  Long-lived workers build the traces they
+    use into their own :class:`TraceCache`; this process builds none
+    for them.
     """
     cells = spec.cells()
     keys = [
@@ -719,19 +726,19 @@ def run_scenario(
             except (ValueError, OSError, TypeError):
                 pass
 
-    # Without a pool of its own, a jobs > 1 call borrows the process's
-    # long-lived one.  A pool built for this call picks its executor
-    # from ``jobs``: in this process for 1, worker processes for more
-    # (when the borrowed pool is busy under other settings) — even when
-    # a single cell remains, since only a process can be killed when a
-    # cell hangs in C code.
-    pool = supervisor
+    # Without a pool of its own, a jobs > 1 call borrows a started one
+    # (the process's long-lived pool, or a private pool while that one is
+    # busy under other settings) — even when a single cell remains, since
+    # only a process can be killed when a cell hangs in C code.  jobs=1
+    # runs the cells in this process.
     borrowed = None
-    if pool is None and jobs > 1:
+    if supervisor is not None:
+        pool = supervisor
+    elif jobs > 1:
         pool = borrowed = _CELL_POOL.borrow(jobs, timeout, retries, backoff)
-    if pool is None:
+    else:
         pool = WorkerSupervisor(
-            _run_job, jobs, timeout=timeout, retries=retries, backoff=backoff,
+            _run_job, 1, timeout=timeout, retries=retries, backoff=backoff,
         )
     stats = SupervisorStats()
     interrupted = False
@@ -749,10 +756,9 @@ def run_scenario(
             on_outcome=on_outcome, chaos=chaos_spec, stats=stats,
         )
     except (KeyboardInterrupt, SupervisorInterrupted, _MatrixSigTerm) as exc:
-        # Clean shutdown: the workers are terminated (a per-call pool
-        # shuts down in its finally, a borrowed one is closed below),
-        # the journal gets its interruption record and fsync, and the
-        # caller gets a typed, resumable error.
+        # Clean shutdown: the workers are terminated (a borrowed pool
+        # is closed below), the journal gets its interruption record and
+        # fsync, and the caller gets a typed, resumable error.
         interrupted = True
         finalize(interrupted=True)
         done = counts["done"] + counts["failed"]
@@ -818,7 +824,8 @@ def geometric_mean(values: Iterable[float], *, strict: bool = False) -> float:
     mean, so any dropped value triggers a :class:`RuntimeWarning` — or a
     :class:`ValueError` under ``strict=True``.  (``nan > 0`` is false,
     so the positivity filter removes NaN too.)  The warning fires once
-    per call site per process; see :func:`reset_mean_warnings`.
+    per call site per process; see :func:`reset_mean_warnings`.  With no
+    value left the mean is ``nan``: there is nothing to average.
     """
     values = list(values)
     logs = [math.log(v) for v in values if v > 0]
@@ -835,7 +842,7 @@ def geometric_mean(values: Iterable[float], *, strict: bool = False) -> float:
             raise ValueError(message)
         _warn_mean_once("geometric_mean", message)
     if not logs:
-        return 0.0
+        return math.nan
     return math.exp(sum(logs) / len(logs))
 
 
@@ -845,7 +852,8 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     ``nan`` entries — undefined ratios from degenerate baselines — are
     skipped with a :class:`RuntimeWarning` instead of poisoning the
     whole mean.  The warning fires once per call site per process; see
-    :func:`reset_mean_warnings`.
+    :func:`reset_mean_warnings`.  With no value left the mean is ``nan``
+    (a fully degraded row must not read as a measured 0).
     """
     values = list(values)
     kept = [v for v in values if not math.isnan(v)]
@@ -856,5 +864,5 @@ def arithmetic_mean(values: Iterable[float]) -> float:
             f"value(s) out of {len(values)}",
         )
     if not kept:
-        return 0.0
+        return math.nan
     return sum(kept) / len(kept)

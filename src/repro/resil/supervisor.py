@@ -25,30 +25,29 @@ processes and assigns jobs to them individually, so it always knows
 Workers are persistent (they keep their in-process trace caches warm
 across jobs) and are respawned on demand after a crash or kill.
 
-A supervisor has two lifetimes.  Per call, :meth:`~WorkerSupervisor.run`
-forks ``min(jobs, len(items))`` workers, dispatches in the calling
-thread and shuts the workers down before it returns.  Long-lived,
+A supervisor has one executor per job count, each with one lifetime.
+``jobs=1`` runs each attempt in the calling process, under a SIGALRM
+wall-clock deadline; an injected chaos ``crash`` or ``hang`` answers
+``WorkerCrash`` or ``JobTimeout`` there directly, since there is no
+process to lose.  ``jobs >= 2`` is a long-lived pool:
 :meth:`~WorkerSupervisor.start` forks ``jobs`` workers and one
-dispatcher thread; :meth:`~WorkerSupervisor.run` may then be called
-from many threads at once, each call keeping its own outcomes,
+dispatcher thread, :meth:`~WorkerSupervisor.run` may then be called from
+many threads at once, each call keeping its own outcomes,
 :class:`SupervisorStats`, chaos spec and ``on_outcome``, and
 :meth:`~WorkerSupervisor.close` answers every waiting call with
-:class:`SupervisorInterrupted` and terminates the workers.  Both
-lifetimes run one dispatch loop (:meth:`WorkerSupervisor._loop`): a free
-worker takes the oldest runnable job of the call with the fewest jobs in
-flight, so a large matrix cannot starve a single-cell call.
+:class:`SupervisorInterrupted` and terminates the workers; ``run()`` on
+a pool that was never started raises ``RuntimeError``.  The dispatcher
+(:meth:`WorkerSupervisor._loop`) gives a free worker the oldest runnable
+job of the call with the fewest jobs in flight, so a large matrix cannot
+starve a single-cell call.
 
-With ``jobs=1`` the supervisor runs each attempt in the calling process
-instead, under a SIGALRM wall-clock deadline; an injected chaos
-``crash`` or ``hang`` answers ``WorkerCrash`` or ``JobTimeout`` there
-directly, since there is no process to lose.  Both executors answer an
-attempt the way the worker pipe does — ``("ok", result)`` or
-``("error", type, message)`` — and settle it through one path
-(:meth:`WorkerSupervisor._settle`) that owns retry, backoff, the failure
-identity, the :class:`SupervisorStats` counters and the chaos
-``sigterm`` budget.  Any ``jobs > 1`` keeps worker processes even for a
-single job, because only a process can be killed while a job hangs in
-C code.
+Both executors answer an attempt the way the worker pipe does —
+``("ok", result)`` or ``("error", type, message)`` — and settle it
+through one path (:meth:`WorkerSupervisor._settle`) that owns retry,
+backoff, the failure identity, the :class:`SupervisorStats` counters and
+the chaos ``sigterm`` budget.  Any ``jobs > 1`` keeps worker processes
+even for a single job, because only a process can be killed while a job
+hangs in C code.
 """
 
 from __future__ import annotations
@@ -271,8 +270,8 @@ class _Run:
     in_flight: int = 0
     #: Why the run stopped before every job finished ("" until then).
     interrupted: str = ""
-    #: A long-lived pool hands outcomes to the calling thread here
-    #: (``None`` ends the run); otherwise they are delivered inline.
+    #: The pool's dispatcher hands outcomes to the calling thread here
+    #: (``None`` ends the run); in process they are delivered inline.
     inbox: Optional["queue.SimpleQueue[Optional[JobOutcome]]"] = None
 
     @property
@@ -375,9 +374,6 @@ class WorkerSupervisor:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         backoff: Optional[float] = None,
-        chaos: Optional[ChaosSpec] = None,
-        mp_context: Any = None,
-        stderr_dir: Optional[Path] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -390,25 +386,16 @@ class WorkerSupervisor:
         self.retries = settings.retries
         self.backoff = settings.backoff
         self.stderr_limit = settings.stderr_tail_bytes
-        #: Chaos for every run that brings none of its own.
-        self.chaos = chaos
-        #: Counters of the most recent :meth:`run` (concurrent callers
-        #: of a long-lived pool pass their own ``stats``).
-        self.stats = SupervisorStats()
-        if mp_context is None:
-            import multiprocessing as mp
+        import multiprocessing as mp
 
-            methods = mp.get_all_start_methods()
-            mp_context = mp.get_context(
-                "fork" if "fork" in methods else None
-            )
-        self._ctx = mp_context
-        self._stderr_dir = stderr_dir
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None
+        )
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._workers: list[_Worker] = []
         self._spawned = 0
         # Guards the runs and their job lists, which the dispatcher
-        # thread of a long-lived pool shares with its callers.
+        # thread shares with its callers.
         self._lock = threading.Lock()
         self._runs: list[_Run] = []
         self._closed = False
@@ -421,8 +408,6 @@ class WorkerSupervisor:
     # -- worker lifecycle ----------------------------------------------
 
     def _stderr_root(self) -> Path:
-        if self._stderr_dir is not None:
-            return self._stderr_dir
         if self._tmpdir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-sup-")
         return Path(self._tmpdir.name)
@@ -562,7 +547,7 @@ class WorkerSupervisor:
 
     def _dispatch_until_closed(self) -> None:
         try:
-            self._loop(lambda: self._closed)
+            self._loop()
         finally:
             # However the loop ended, no caller may wait on it forever.
             with self._lock:
@@ -658,47 +643,33 @@ class WorkerSupervisor:
         """Run every (key, payload) to a terminal outcome.
 
         ``jobs=1`` runs each attempt in this process; more run them on
-        worker processes — this call's own, or the long-lived pool's
-        once :meth:`start` was called.  ``on_outcome`` fires once per
-        job, in this thread, as it reaches success or retry exhaustion
-        (journaling hook).  ``chaos`` (default: the supervisor's) and
-        ``stats`` (default: a fresh :class:`SupervisorStats`, also left
-        in :attr:`stats`) belong to this call alone.  Raises
+        the pool's worker processes, so a ``jobs >= 2`` supervisor must
+        be started (:meth:`start`) first, or this raises
+        ``RuntimeError``.  ``on_outcome`` fires once per job, in this
+        thread, as it reaches success or retry exhaustion (journaling
+        hook).  ``chaos`` and ``stats`` (default: a fresh
+        :class:`SupervisorStats`) belong to this call alone.  Raises
         :class:`SupervisorInterrupted` when the chaos spec's
         ``sigterm`` budget is hit — after the triggering outcome was
         delivered — or when the pool is closed.
         """
+        if self.jobs > 1 and self._dispatcher is None:
+            raise RuntimeError("a pool of jobs >= 2 runs only after start()")
         run = _Run(
             pending=[_Job(key=key, payload=payload) for key, payload in items],
-            chaos=chaos if chaos is not None else self.chaos,
+            chaos=chaos,
             on_outcome=on_outcome,
             stats=stats if stats is not None else SupervisorStats(),
         )
-        self.stats = run.stats
         if not run.pending:
             return run.outcomes
-        if self._dispatcher is not None:
-            self._run_shared(run)
-        elif self.jobs == 1:
+        if self.jobs == 1:
             self._run_in_process(run)
         else:
-            self._run_per_call(run)
+            self._run_shared(run)
         if run.interrupted:
             raise SupervisorInterrupted(run.interrupted)
         return run.outcomes
-
-    def _run_per_call(self, run: _Run) -> None:
-        """Workers for this call only, dispatched from this thread."""
-        try:
-            self._workers = [
-                self._spawn_worker()
-                for _ in range(min(self.jobs, len(run.pending)))
-            ]
-            self._runs = [run]
-            self._loop(lambda: run.finished)
-        finally:
-            self._runs = []
-            self.shutdown()
 
     def _run_shared(self, run: _Run) -> None:
         """Queue the run on the started pool; deliver its outcomes here."""
@@ -844,10 +815,11 @@ class WorkerSupervisor:
             )
         return None
 
-    def _loop(self, until: Callable[[], bool]) -> None:
-        """The ``jobs > 1`` executor: dispatch attempts to the workers
-        and settle their answers until ``until()`` holds."""
-        while not until():
+    def _loop(self) -> None:
+        """The ``jobs > 1`` executor, on the dispatcher thread: dispatch
+        attempts to the workers and settle their answers until the pool
+        closes."""
+        while not self._closed:
             now = time.monotonic()
             for index, worker in enumerate(self._workers):
                 if worker.job is None and not worker.process.is_alive():

@@ -241,11 +241,14 @@ class UVMSimulator:
         skipped) — the recency chain's pop and push, each with exactly
         the :meth:`UVMDriver.service_fault` update rules and in its
         order; the driver's counters are folded once at the end.  Runs
-        whose faults need the driver's own per-fault work — observed
-        (event emission), sanitized (invariant sweeps) or prefetching
-        (fault-around) — call :meth:`UVMDriver.service_fault` from the
-        same loop instead.  Policy callbacks are the simulated
-        behaviour and are always called.
+        whose faults need the driver's own per-fault work — traced (an
+        observation with an event sink: per-fault events), sanitized
+        (invariant sweeps) or prefetching (fault-around) — call
+        :meth:`UVMDriver.service_fault` from the same loop instead.  An
+        observation without a sink stays inline: its registry and time
+        series are filled by the policy hooks and at collection, not per
+        fault.  Policy callbacks are the simulated behaviour and are
+        always called.
         """
         config = self.config
         num_sms = config.num_sms
@@ -261,7 +264,7 @@ class UVMSimulator:
         driver = self.driver
         service_fault = driver.service_fault
         inline_faults = (
-            driver.obs is None
+            (driver.obs is None or driver.obs.trace is None)
             and driver.checker is None
             and driver.prefetch_degree == 0
         )

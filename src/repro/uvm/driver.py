@@ -111,8 +111,8 @@ class UVMDriver:
 
         Returns ``(ever_touched, page_size_bytes)``.  The caller may
         replay faults itself — with exactly the :meth:`service_fault`
-        update rules for an obs-free, checker-free, prefetch-free driver
-        — provided it folds the fault/eviction/byte counters back into
+        update rules for a driver with no event sink, no checker and no
+        prefetching — provided it folds the fault/eviction/byte counters back into
         :attr:`stats` afterwards and keeps ``ever_touched`` current.
         """
         return self._ever_touched, self.page_size_bytes

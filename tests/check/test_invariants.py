@@ -42,7 +42,8 @@ def _first_nonempty_partition(chain) -> list:
     return next(
         items
         for items in (
-            list(chain.partition_items(p)) for p in (soa.OLD, soa.MIDDLE, soa.NEW)
+            list(chain.iter_partition_items(p))
+            for p in (soa.OLD, soa.MIDDLE, soa.NEW)
         )
         if items
     )
@@ -57,16 +58,15 @@ def _force_chain_entry(chain, entry, partition=soa.NEW) -> None:
     way a buggy division or a P1/P2 pointer bug would corrupt the SoA
     chain.
     """
-    inner = chain._chain
-    if not inner._free:
-        inner._grow()
-    slot = inner._free.pop()
-    inner._keys[slot] = entry.key
-    inner._payloads[slot] = entry
-    inner._slot.setdefault(entry.key, slot)
+    if not chain._free:
+        chain._grow()
+    slot = chain._free.pop()
+    chain._keys[slot] = entry.key
+    chain._payloads[slot] = entry
+    chain._slot.setdefault(entry.key, slot)
     # stamp such that `intervals - stamp` derives the target partition
-    inner._stamp[slot] = inner.intervals - (soa.NEW - partition)
-    inner._link_tail(slot, partition)
+    chain._stamp[slot] = chain.intervals - (soa.NEW - partition)
+    chain._link_tail(slot, partition)
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def _expect(simulator: UVMSimulator, code: str) -> InvariantViolation:
 
 
 def _first_chain_entry(simulator: UVMSimulator) -> PageSetEntry:
-    entry = next(iter(simulator.policy.chain.iter_entries()))
+    entry = next(iter(simulator.policy.chain.iter_payloads_lru()))
     assert entry is not None
     return entry
 
@@ -195,8 +195,7 @@ def test_chain_link_in_two_partitions(hpe_sim: UVMSimulator) -> None:
     """P1/P2 corruption: the same key chained in two partitions."""
     chain = hpe_sim.policy.chain
     key, entry = _first_nonempty_partition(chain)[0]
-    inner = chain._chain
-    current = inner._partition_of_slot(inner._slot[key])
+    current = chain._partition_of_slot(chain._slot[key])
     other = next(
         p for p in (soa.NEW, soa.MIDDLE, soa.OLD) if p != current
     )
@@ -207,11 +206,10 @@ def test_chain_link_in_two_partitions(hpe_sim: UVMSimulator) -> None:
 def test_chain_entry_filed_under_wrong_key(hpe_sim: UVMSimulator) -> None:
     chain = hpe_sim.policy.chain
     key, _entry = _first_nonempty_partition(chain)[0]
-    inner = chain._chain
-    slot = inner._slot.pop(key)
+    slot = chain._slot.pop(key)
     wrong = (key[0] ^ 0x1, key[1])
-    inner._keys[slot] = wrong
-    inner._slot[wrong] = slot
+    chain._keys[slot] = wrong
+    chain._slot[wrong] = slot
     _expect(hpe_sim, "chain-partition")
 
 
@@ -233,7 +231,7 @@ def test_fully_evicted_entry_left_chained(hpe_sim: UVMSimulator) -> None:
 def test_lost_population_bit(hpe_sim: UVMSimulator) -> None:
     """A resident page whose bit-vector population bit was cleared."""
     entry = next(
-        e for e in hpe_sim.policy.chain.iter_entries() if e.resident_mask
+        e for e in hpe_sim.policy.chain.iter_payloads_lru() if e.resident_mask
     )
     entry.bit_vector &= ~(entry.resident_mask & -entry.resident_mask)
     _expect(hpe_sim, "bitvector-subset")
@@ -263,7 +261,7 @@ def test_divided_halves_overlap(hpe_sim: UVMSimulator) -> None:
     policy = hpe_sim.policy
     chain = policy.chain
     primary = next(
-        e for e in chain.iter_entries()
+        e for e in chain.iter_payloads_lru()
         if e.part is SetPart.PRIMARY and e.resident_mask
     )
     primary.divided = True
@@ -288,7 +286,7 @@ def test_undivided_primary_with_secondary(hpe_sim: UVMSimulator) -> None:
     policy = hpe_sim.policy
     chain = policy.chain
     primary = next(
-        e for e in chain.iter_entries()
+        e for e in chain.iter_payloads_lru()
         if e.part is SetPart.PRIMARY and e.resident_mask
     )
     offset_bit = primary.resident_mask & -primary.resident_mask
@@ -325,7 +323,7 @@ def test_chain_claims_nonresident_page(hpe_sim: UVMSimulator) -> None:
     """A chain resident bit for a page the frame pool evicted."""
     policy = hpe_sim.policy
     entry = next(
-        e for e in policy.chain.iter_entries()
+        e for e in policy.chain.iter_payloads_lru()
         if e.bit_vector & ~e.resident_mask
     )
     missing = entry.bit_vector & ~entry.resident_mask

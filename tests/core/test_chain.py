@@ -1,117 +1,116 @@
-"""Unit tests for the three-partition page set chain."""
+"""Unit tests for the three-partition page set chain (``ArrayChain``)."""
 
 import pytest
 
-from repro.core.chain import PageSetChain
 from repro.core.pageset import PageSetEntry, primary_key
+from repro.core.soa import OLD, ArrayChain
 
 
 def make_entry(tag, size=16):
     return PageSetEntry(tag=tag, page_set_size=size)
 
 
-class TestInsertLookup:
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            PageSetChain(0)
+def add(chain, tag):
+    entry = make_entry(tag)
+    chain.insert(entry.key, entry)
 
+
+class TestInsertLookup:
     def test_new_entries_land_in_new_partition(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
-        assert chain.new_size == 1
-        assert chain.old_size == chain.middle_size == 0
+        chain = ArrayChain()
+        add(chain, 1)
+        assert chain.partition_sizes() == (0, 0, 1)
 
     def test_duplicate_insert_rejected(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
+        chain = ArrayChain()
+        add(chain, 1)
         with pytest.raises(ValueError):
-            chain.insert(make_entry(1))
+            add(chain, 1)
 
     def test_get_finds_entry_in_any_partition(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
+        chain = ArrayChain()
+        add(chain, 1)
         chain.advance_interval()
         assert chain.get(primary_key(1)) is not None
         chain.advance_interval()
         assert chain.get(primary_key(1)) is not None
 
     def test_get_missing_returns_none(self):
-        assert PageSetChain(16).get(primary_key(9)) is None
+        assert ArrayChain().get(primary_key(9)) is None
 
     def test_len_counts_all_partitions(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
+        chain = ArrayChain()
+        add(chain, 1)
         chain.advance_interval()
-        chain.insert(make_entry(2))
+        add(chain, 2)
         chain.advance_interval()
-        chain.insert(make_entry(3))
+        add(chain, 3)
         assert len(chain) == 3
 
 
 class TestIntervalAdvance:
     def test_partitions_shift(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
+        chain = ArrayChain()
+        add(chain, 1)
         chain.advance_interval()          # 1 -> middle
-        chain.insert(make_entry(2))
-        assert (chain.old_size, chain.middle_size, chain.new_size) == (0, 1, 1)
+        add(chain, 2)
+        assert chain.partition_sizes() == (0, 1, 1)
         chain.advance_interval()          # 1 -> old, 2 -> middle
-        assert (chain.old_size, chain.middle_size, chain.new_size) == (1, 1, 0)
+        assert chain.partition_sizes() == (1, 1, 0)
 
     def test_interval_counter(self):
-        chain = PageSetChain(16)
+        chain = ArrayChain()
         chain.advance_interval()
         chain.advance_interval()
         assert chain.intervals == 2
 
     def test_old_accumulates(self):
-        chain = PageSetChain(16)
+        chain = ArrayChain()
         for tag in range(3):
-            chain.insert(make_entry(tag))
+            add(chain, tag)
             chain.advance_interval()
             chain.advance_interval()
-        assert chain.old_size == 3
+        assert chain.partition_sizes()[OLD] == 3
 
 
 class TestPromotion:
     def test_promote_from_old_to_new(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
+        chain = ArrayChain()
+        add(chain, 1)
         chain.advance_interval()
         chain.advance_interval()
-        assert chain.old_size == 1
+        assert chain.partition_sizes()[OLD] == 1
         chain.promote(primary_key(1))
-        assert chain.old_size == 0
-        assert chain.new_size == 1
+        assert chain.partition_sizes() == (0, 0, 1)
 
     def test_promote_within_new_is_stable(self):
         # "within an interval, once a page set has been placed into the
         # new partition ... following touches will not trigger movement"
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
-        chain.insert(make_entry(2))
+        chain = ArrayChain()
+        add(chain, 1)
+        add(chain, 2)
         chain.promote(primary_key(1))  # no-op: order preserved
-        order = [e.tag for e in chain.iter_lru_order()]
+        order = [e.tag for e in chain.iter_payloads_lru()]
         assert order == [1, 2]
 
     def test_promote_missing_raises(self):
         with pytest.raises(KeyError):
-            PageSetChain(16).promote(primary_key(1))
+            ArrayChain().promote(primary_key(1))
 
     def test_promotion_order_becomes_recency_order(self):
-        chain = PageSetChain(16)
+        chain = ArrayChain()
         for tag in (1, 2, 3):
-            chain.insert(make_entry(tag))
+            add(chain, tag)
         chain.advance_interval()
         chain.promote(primary_key(2))
         chain.promote(primary_key(1))
-        assert [e.tag for e in chain.iter_lru_order()] == [3, 2, 1]
+        assert [e.tag for e in chain.iter_payloads_lru()] == [3, 2, 1]
 
 
 class TestRemoval:
     def test_remove_from_any_partition(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(1))
+        chain = ArrayChain()
+        add(chain, 1)
         chain.advance_interval()
         removed = chain.remove(primary_key(1))
         assert removed.tag == 1
@@ -119,50 +118,51 @@ class TestRemoval:
 
     def test_remove_missing_raises(self):
         with pytest.raises(KeyError):
-            PageSetChain(16).remove(primary_key(1))
+            ArrayChain().remove(primary_key(1))
 
 
 class TestIteration:
     def _loaded_chain(self):
-        chain = PageSetChain(16)
+        chain = ArrayChain()
         for tag in (1, 2):                 # oldest
-            chain.insert(make_entry(tag))
+            add(chain, tag)
         chain.advance_interval()
         chain.advance_interval()           # 1, 2 now old
         for tag in (3,):
-            chain.insert(make_entry(tag))
+            add(chain, tag)
         chain.advance_interval()           # 3 in middle
-        chain.insert(make_entry(4))        # 4 in new
+        add(chain, 4)                      # 4 in new
         return chain
 
     def test_lru_order(self):
         chain = self._loaded_chain()
-        assert [e.tag for e in chain.iter_lru_order()] == [1, 2, 3, 4]
+        assert [e.tag for e in chain.iter_payloads_lru()] == [1, 2, 3, 4]
 
     def test_old_mru_first(self):
         chain = self._loaded_chain()
-        assert [e.tag for e in chain.iter_old_mru_first()] == [2, 1]
+        assert [e.tag for e in chain.iter_partition_reversed(OLD)] == [2, 1]
 
     def test_old_lru_first(self):
         chain = self._loaded_chain()
-        assert [e.tag for e in chain.iter_old_lru_first()] == [1, 2]
+        assert [e.tag for e in chain.iter_partition(OLD)] == [1, 2]
 
     def test_lru_entry_prefers_old(self):
         chain = self._loaded_chain()
-        assert chain.lru_entry().tag == 1
+        assert chain.first_payload().tag == 1
 
     def test_lru_entry_falls_through_partitions(self):
-        chain = PageSetChain(16)
-        chain.insert(make_entry(7))
+        chain = ArrayChain()
+        add(chain, 7)
         chain.advance_interval()   # middle only
-        assert chain.lru_entry().tag == 7
-        chain2 = PageSetChain(16)
-        chain2.insert(make_entry(8))
-        assert chain2.lru_entry().tag == 8  # new only
+        assert chain.first_payload().tag == 7
+        chain2 = ArrayChain()
+        add(chain2, 8)
+        assert chain2.first_payload().tag == 8  # new only
 
     def test_lru_entry_empty_chain(self):
-        assert PageSetChain(16).lru_entry() is None
+        assert ArrayChain().first_payload() is None
 
     def test_counters_lists_every_entry(self):
         chain = self._loaded_chain()
-        assert chain.counters() == [0, 0, 0, 0]
+        counters = [e.counter for e in chain.iter_payloads_lru()]
+        assert counters == [0, 0, 0, 0]

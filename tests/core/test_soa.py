@@ -1,8 +1,9 @@
 """Metamorphic equivalence for the struct-of-arrays page set chain.
 
-:class:`repro.core.soa.ArrayChain` (via :class:`PageSetChain`) replaced
-the object-per-entry chain on the fault path; the original is retained
-as the oracle (:class:`ReferencePageSetChain`).  These tests drive long
+:class:`repro.core.soa.ArrayChain` (HPE's chain) replaced the
+object-per-entry chain on the fault path; the original is retained as
+the oracle (:class:`ReferencePageSetChain`, under the same method
+names).  These tests drive long
 seeded randomized op sequences through both implementations in
 lockstep — no hypothesis dependency, just ``random.Random(seed)`` —
 and assert every observable agrees after every single operation:
@@ -10,7 +11,8 @@ membership, sizes, partition split, full iteration order, and the LRU
 election the HPE strategies depend on.
 
 The MRU-C victim walk (:meth:`ArrayChain.mru_c_search`) replaced a
-generator-based search over ``iter_old_mru_first``; that search is kept
+generator-based search over the old partition, MRU end first; that
+search is kept
 here as :func:`reference_mru_c`, and the walk is run against it in
 lockstep.
 """
@@ -22,28 +24,32 @@ from typing import Optional, Union
 
 import pytest
 
-from repro.core.chain import PageSetChain, ReferencePageSetChain
+from repro.core.chain import ReferencePageSetChain
 from repro.core.pageset import PageSetEntry, SetPart
+from repro.core.soa import MIDDLE, NEW, OLD, ArrayChain
 
 SEEDS = (1, 7, 42, 1337, 271828)
 OPS_PER_RUN = 3000
 
-ChainLike = Union[PageSetChain, ReferencePageSetChain]
+ChainLike = Union[ArrayChain, ReferencePageSetChain]
+PARTITIONS = (OLD, MIDDLE, NEW)
 
 
 def _observe(chain: ChainLike) -> tuple:
     """Every observable surface of a chain, in one comparable tuple."""
+    first = chain.first_payload()
     return (
         len(chain),
         chain.partition_sizes(),
-        (chain.old_size, chain.middle_size, chain.new_size),
-        [entry.key for entry in chain.iter_lru_order()],
-        [entry.key for entry in chain.iter_old_lru_first()],
-        [entry.key for entry in chain.iter_old_mru_first()],
-        [(key, entry.tag) for part in (0, 1, 2)
-         for key, entry in chain.partition_items(part)],
-        None if chain.lru_entry() is None else chain.lru_entry().key,
-        chain.counters(),
+        [entry.key for entry in chain.iter_payloads_lru()],
+        [[entry.key for entry in chain.iter_partition(part)]
+         for part in PARTITIONS],
+        [[entry.key for entry in chain.iter_partition_reversed(part)]
+         for part in PARTITIONS],
+        [(key, entry.tag) for part in PARTITIONS
+         for key, entry in chain.iter_partition_items(part)],
+        None if first is None else first.key,
+        [entry.counter for entry in chain.iter_payloads_lru()],
         chain.intervals,
     )
 
@@ -57,8 +63,8 @@ def _random_key(rng: random.Random) -> tuple[int, SetPart]:
 def test_chain_matches_reference_on_random_op_sequences(seed: int) -> None:
     """SoA chain == OrderedDict chain after every op of a seeded run."""
     rng = random.Random(seed)
-    fast = PageSetChain(page_set_size=16)
-    reference = ReferencePageSetChain(page_set_size=16)
+    fast = ArrayChain()
+    reference = ReferencePageSetChain()
     for step in range(OPS_PER_RUN):
         op = rng.random()
         key = _random_key(rng)
@@ -71,8 +77,8 @@ def test_chain_matches_reference_on_random_op_sequences(seed: int) -> None:
                 touches = rng.randrange(4)
                 entry_a.touch(touches)
                 entry_b.touch(touches)
-                fast.insert(entry_a)
-                reference.insert(entry_b)
+                fast.insert(key, entry_a)
+                reference.insert(key, entry_b)
         elif op < 0.70:  # promote
             if key in reference:
                 assert fast.promote(key).key == reference.promote(key).key
@@ -107,14 +113,15 @@ def test_chain_matches_reference_on_random_op_sequences(seed: int) -> None:
 def test_chain_survives_churn_and_regrowth(seed: int) -> None:
     """Free-list reuse: empty the chain repeatedly, slots must recycle."""
     rng = random.Random(seed)
-    fast = PageSetChain(page_set_size=8)
-    reference = ReferencePageSetChain(page_set_size=8)
+    fast = ArrayChain()
+    reference = ReferencePageSetChain()
     for _ in range(20):
         keys = [(tag, SetPart.PRIMARY) for tag in range(rng.randrange(1, 40))]
-        for tag, part in keys:
-            fast.insert(PageSetEntry(tag=tag, page_set_size=8, part=part))
+        for key in keys:
+            tag, part = key
+            fast.insert(key, PageSetEntry(tag=tag, page_set_size=8, part=part))
             reference.insert(
-                PageSetEntry(tag=tag, page_set_size=8, part=part)
+                key, PageSetEntry(tag=tag, page_set_size=8, part=part)
             )
         if rng.random() < 0.5:
             fast.advance_interval()
@@ -127,25 +134,28 @@ def test_chain_survives_churn_and_regrowth(seed: int) -> None:
 
 
 def test_duplicate_insert_raises_on_both() -> None:
-    fast = PageSetChain(page_set_size=4)
-    reference = ReferencePageSetChain(page_set_size=4)
+    fast = ArrayChain()
+    reference = ReferencePageSetChain()
+    key = (3, SetPart.PRIMARY)
     for chain in (fast, reference):
-        chain.insert(PageSetEntry(tag=3, page_set_size=4))
+        chain.insert(key, PageSetEntry(tag=3, page_set_size=4))
         with pytest.raises(ValueError):
-            chain.insert(PageSetEntry(tag=3, page_set_size=4))
+            chain.insert(key, PageSetEntry(tag=3, page_set_size=4))
 
 
 def test_promote_only_moves_once_per_interval() -> None:
     """Fig. 6 rule: an entry already in *new* stays put when touched."""
-    for chain in (PageSetChain(4), ReferencePageSetChain(4)):
+    chains: tuple[ChainLike, ...] = (ArrayChain(), ReferencePageSetChain())
+    for chain in chains:
         for tag in (1, 2, 3):
-            chain.insert(PageSetEntry(tag=tag, page_set_size=4))
-        order_before = [entry.key for entry in chain.iter_lru_order()]
+            entry = PageSetEntry(tag=tag, page_set_size=4)
+            chain.insert(entry.key, entry)
+        order_before = [entry.key for entry in chain.iter_payloads_lru()]
         chain.promote((1, SetPart.PRIMARY))  # already in new: no move
-        assert [e.key for e in chain.iter_lru_order()] == order_before
+        assert [e.key for e in chain.iter_payloads_lru()] == order_before
         chain.advance_interval()
         chain.promote((1, SetPart.PRIMARY))  # from middle: to MRU of new
-        assert [e.key for e in chain.iter_lru_order()][-1] == \
+        assert [e.key for e in chain.iter_payloads_lru()][-1] == \
             (1, SetPart.PRIMARY)
 
 
@@ -159,13 +169,14 @@ def reference_mru_c(
     chain: ChainLike, target: int, jump: int = 0
 ) -> tuple[Optional[PageSetEntry], int]:
     """The generator-based MRU-C search the chain walk replaced."""
-    if chain.old_size == 0:
-        entry = chain.lru_entry()
+    old_size = chain.partition_sizes()[OLD]
+    if old_size == 0:
+        entry = chain.first_payload()
         return entry, 1 if entry else 0
-    effective_jump = min(jump, chain.old_size - 1)
+    effective_jump = min(jump, old_size - 1)
     comparisons = 0
     best: Optional[PageSetEntry] = None
-    for index, entry in enumerate(chain.iter_old_mru_first()):
+    for index, entry in enumerate(chain.iter_partition_reversed(OLD)):
         if index < effective_jump:
             continue
         comparisons += 1
@@ -191,8 +202,8 @@ def _jumps(rng: random.Random, old_size: int) -> set[int]:
 def test_mru_c_walk_matches_reference_search(seed: int) -> None:
     """Walk == generator search (and LRU pick == reference) every op."""
     rng = random.Random(seed)
-    fast = PageSetChain(page_set_size=TARGET)
-    reference = ReferencePageSetChain(page_set_size=TARGET)
+    fast = ArrayChain()
+    reference = ReferencePageSetChain()
     seen = {"empty_old": 0, "jump_at_or_past_end": 0, "tie": 0,
             "advance_then_pick": 0, "target_hit": 0}
     advanced = False
@@ -207,7 +218,7 @@ def test_mru_c_walk_matches_reference_search(seed: int) -> None:
                 for chain in (fast, reference):
                     entry = PageSetEntry(tag=key[0], page_set_size=TARGET)
                     entry.touch(counter)
-                    chain.insert(entry)
+                    chain.insert(key, entry)
         elif op < 0.60:
             if key in reference:
                 fast.promote(key)
@@ -227,13 +238,13 @@ def test_mru_c_walk_matches_reference_search(seed: int) -> None:
             reference.advance_interval()
             advanced = True
             continue
-        old_size = fast.old_size
+        old_size = fast.partition_sizes()[OLD]
         seen["empty_old"] += old_size == 0
         seen["advance_then_pick"] += advanced
         advanced = False
         for jump in _jumps(rng, old_size):
             want = _picked(reference_mru_c(reference, TARGET, jump))
-            picked = fast.array.mru_c_search(TARGET, jump)
+            picked = fast.mru_c_search(TARGET, jump)
             assert _picked(picked) == want, \
                 f"walk diverged at step {step}, jump {jump} (seed {seed})"
             assert _picked(reference_mru_c(fast, TARGET, jump)) == want
@@ -244,10 +255,10 @@ def test_mru_c_walk_matches_reference_search(seed: int) -> None:
                 if entry.counter == TARGET:
                     seen["target_hit"] += 1
                 elif sum(e.counter == entry.counter
-                         for e in fast.iter_old_lru_first()) > 1:
+                         for e in fast.iter_partition(OLD)) > 1:
                     seen["tie"] += 1
-        lru = fast.array.first_payload()
-        want_lru = reference.lru_entry()
+        lru = fast.first_payload()
+        want_lru = reference.first_payload()
         assert (None if lru is None else lru.key) == \
             (None if want_lru is None else want_lru.key)
     assert all(seen.values()), seen
@@ -255,11 +266,11 @@ def test_mru_c_walk_matches_reference_search(seed: int) -> None:
 
 def test_mru_c_walk_edges() -> None:
     """Hand-built cases: ties, jumps at/past the end, empty partitions."""
-    chain = PageSetChain(page_set_size=TARGET)
+    chain = ArrayChain()
 
     def pick(jump: int) -> tuple[Optional[int], int]:
         """``(tag, comparisons)`` of the walk's pick."""
-        entry, comparisons = chain.array.mru_c_search(TARGET, jump)
+        entry, comparisons = chain.mru_c_search(TARGET, jump)
         return (None if entry is None else entry.tag), comparisons
 
     assert pick(0) == (None, 0)
@@ -267,7 +278,7 @@ def test_mru_c_walk_edges() -> None:
     for tag, counter in enumerate((5, 3, 7, 3)):
         entry = PageSetEntry(tag=tag, page_set_size=TARGET)
         entry.touch(counter)
-        chain.insert(entry)
+        chain.insert(entry.key, entry)
     # Old partition empty: LRU of middle/new, one comparison.
     assert pick(0) == (0, 1)
     chain.advance_interval()
@@ -285,7 +296,7 @@ def test_mru_c_walk_edges() -> None:
     # An interval advance between picks splices middle onto old's MRU end.
     fresh = PageSetEntry(tag=9, page_set_size=TARGET)
     fresh.touch(1)
-    chain.insert(fresh)
+    chain.insert(fresh.key, fresh)
     chain.advance_interval()
     assert pick(0) == (2, 2)
     chain.advance_interval()

@@ -80,8 +80,8 @@ def test_tiers_bit_identical(kind: str, policy: str) -> None:
 def test_observed_runs_stay_identical(policy: str) -> None:
     """With an event sink attached, both tiers emit the same stream.
 
-    Observed faults take the kernel's driver sub-path, so this doubles
-    as its regression test with observability on.
+    Faults with an event sink take the kernel's driver sub-path, so this
+    doubles as its regression test with observability on.
     """
     trace = build("phased", SEEDS[0], MATRIX_LENGTH)
     capacity = _capacity(trace, 0.75)

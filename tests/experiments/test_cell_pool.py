@@ -131,6 +131,15 @@ class TestBorrowedPool:
 
         # Forked after the patch, both pools' workers run the slow cell.
         monkeypatch.setattr(runner_module, "run_spec", slowish)
+        real_start = runner_module.start_cell_pool
+        started = []
+
+        def recording_start(*args, **kwargs):
+            pool = real_start(*args, **kwargs)
+            started.append((pool, workers(pool)))
+            return pool
+
+        monkeypatch.setattr(runner_module, "start_cell_pool", recording_start)
         answers: dict[str, object] = {}
 
         def call(name, **kwargs):
@@ -164,6 +173,12 @@ class TestBorrowedPool:
         # untouched and forked nothing more.
         assert lent_pool() is pool
         assert pool.pool_stats()["spawned"] == 2
+        # That private pool forked its two workers and was closed when
+        # the second call returned.
+        [private] = [procs for started_pool, procs in started
+                     if started_pool is not pool]
+        assert len(private) == 2
+        assert not any(process.is_alive() for process in private)
 
     def test_concurrent_borrowers_stress(self, no_cache):
         """Eight threads borrow at once, two under another timeout: every

@@ -231,3 +231,21 @@ class TestEveryHarnessRunsItsCellsThroughRunScenario:
         assert degraded, result.notes
         assert "failed after retries" in degraded[0]
         assert result.render()
+
+    def test_fully_degraded_hir_storage_renders_nan(
+        self, cold_cache, monkeypatch
+    ):
+        # With every cell failed there is no saving to average: the row
+        # reads NaN, never a measured 0.00.
+        cold_cache()
+        monkeypatch.setenv("REPRO_CHAOS", "crash=1.0")
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        monkeypatch.setenv("REPRO_BACKOFF", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = hir_storage(**PAIR)
+        lines = result.render().splitlines()
+        rows = lines[3:3 + len(result.rows)]
+        assert [row.split()[0] for row in rows] == ["75%", "50%"]
+        for row in rows:
+            assert row.split()[1:] == ["nan", "nan", "nan"], row

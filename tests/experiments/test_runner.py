@@ -1,5 +1,6 @@
 """Tests for the experiment runner."""
 
+import math
 import multiprocessing
 import os
 import warnings
@@ -249,11 +250,11 @@ class TestMeans:
 
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-        assert arithmetic_mean([]) == 0.0
+        assert math.isnan(arithmetic_mean([]))
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
+        assert math.isnan(geometric_mean([]))
 
     def test_geometric_mean_warns_on_non_positive(self):
         with pytest.warns(RuntimeWarning, match="non-positive"):
@@ -282,9 +283,9 @@ class TestMeans:
             assert arithmetic_mean([float("nan"), 2.0, 4.0]) == \
                 pytest.approx(3.0)
 
-    def test_arithmetic_mean_all_nan_is_zero(self):
+    def test_arithmetic_mean_all_nan_is_nan(self):
         with pytest.warns(RuntimeWarning):
-            assert arithmetic_mean([float("nan")]) == 0.0
+            assert math.isnan(arithmetic_mean([float("nan")]))
 
     def test_arithmetic_mean_clean_values_silent(self):
         with warnings.catch_warnings():

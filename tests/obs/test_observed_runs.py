@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs as obs_module
-from repro.experiments.runner import run_scenario, run_spec
+from repro.experiments.runner import make_policy, run_scenario, run_spec
 from repro.obs import (
     JSONLEventTrace,
     Observation,
@@ -14,6 +14,9 @@ from repro.obs import (
     validate_file,
 )
 from repro.scenarios.spec import MatrixSpec, ScenarioSpec
+from repro.sim.engine import UVMSimulator
+from repro.uvm.driver import UVMDriver
+from repro.workloads.suite import get_application
 
 #: Simulate afresh: a cached result carries no observation payloads.
 RUN = dict(use_cache=False)
@@ -46,6 +49,35 @@ class TestObservedRun:
         result = run_spec(stn("hpe"), obs=False, **RUN)
         assert "timeseries" not in result.extras
         assert "metrics" not in result.extras
+
+    def test_observation_without_a_sink_keeps_the_inline_fault_path(
+        self, monkeypatch
+    ):
+        """Metrics and time series need no per-fault driver work: a
+        sink-free observed run services faults inline, and observes what
+        the reference loop (which always goes through the driver) does."""
+        spec = stn("hpe")
+        trace = get_application(spec.workload).build(
+            seed=spec.seed, scale=spec.scale
+        )
+        capacity = trace.capacity_for(spec.rate)
+
+        def observed(tier):
+            simulator = UVMSimulator(
+                make_policy("hpe", capacity), capacity, obs=Observation()
+            )
+            return simulator.run(trace.pages, workload_name="STN", fast=tier)
+
+        reference = observed(0)
+
+        def refuse(_driver, _page):
+            raise AssertionError("fault serviced through the driver")
+
+        monkeypatch.setattr(UVMDriver, "service_fault", refuse)
+        inline = observed(1)
+        assert inline.key_metrics() == reference.key_metrics()
+        assert inline.extras["metrics"] == reference.extras["metrics"]
+        assert inline.extras["timeseries"] == reference.extras["timeseries"]
 
     def test_key_metrics_bit_identical_with_obs_on(self):
         plain = run_spec(stn("hpe"), obs=False, **RUN)

@@ -81,26 +81,44 @@ def _fail_once(payload):
     return "recovered"
 
 
+@pytest.fixture
+def pool_factory():
+    """Start long-lived pools; every one is closed at teardown."""
+    pools = []
+
+    def make(worker_fn, jobs=2, **kwargs):
+        kwargs.setdefault("timeout", 30.0)
+        kwargs.setdefault("backoff", 0.0)
+        pool = WorkerSupervisor(worker_fn, jobs, **kwargs).start()
+        pools.append(pool)
+        return pool
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
 class TestHappyPath:
-    def test_all_jobs_complete(self):
-        supervisor = WorkerSupervisor(_square, 3, timeout=30.0, backoff=0.0)
+    def test_all_jobs_complete(self, pool_factory):
+        supervisor = pool_factory(_square, 3)
+        stats = SupervisorStats()
         items = [(f"job-{i}", i) for i in range(8)]
-        outcomes = supervisor.run(items)
+        outcomes = supervisor.run(items, stats=stats)
         assert len(outcomes) == 8
         assert all(outcome.ok for outcome in outcomes.values())
         assert {k: o.result for k, o in outcomes.items()} == {
             f"job-{i}": i * i for i in range(8)
         }
-        assert supervisor.stats.completed == 8
-        assert supervisor.stats.retries == 0
+        assert stats.completed == 8
+        assert stats.retries == 0
 
-    def test_empty_items(self):
-        supervisor = WorkerSupervisor(_square, 2)
+    def test_empty_items(self, pool_factory):
+        supervisor = pool_factory(_square)
         assert supervisor.run([]) == {}
 
-    def test_on_outcome_fires_per_job(self):
+    def test_on_outcome_fires_per_job(self, pool_factory):
         seen = []
-        supervisor = WorkerSupervisor(_square, 2, timeout=30.0, backoff=0.0)
+        supervisor = pool_factory(_square)
         supervisor.run(
             [(f"job-{i}", i) for i in range(4)],
             on_outcome=lambda outcome: seen.append(outcome.key),
@@ -109,35 +127,35 @@ class TestHappyPath:
 
 
 class TestFailureModes:
-    def test_crash_isolated_and_reported(self):
-        supervisor = WorkerSupervisor(
-            _crash_on_seven, 2, timeout=30.0, retries=1, backoff=0.0
-        )
-        outcomes = supervisor.run([("ok", 1), ("dead", 7)])
+    def test_crash_isolated_and_reported(self, pool_factory):
+        supervisor = pool_factory(_crash_on_seven, retries=1)
+        stats = SupervisorStats()
+        outcomes = supervisor.run([("ok", 1), ("dead", 7)], stats=stats)
         assert outcomes["ok"].ok and outcomes["ok"].result == 1
         failure = outcomes["dead"].failure
         assert failure is not None
         assert failure.error_type == "WorkerCrash"
         assert str(CHAOS_CRASH_EXIT) in failure.message
         assert failure.attempts == 2
-        assert supervisor.stats.crashes == 2
-        assert supervisor.stats.exhausted == 1
+        assert stats.crashes == 2
+        assert stats.exhausted == 1
 
-    def test_timeout_kills_and_reports(self):
-        supervisor = WorkerSupervisor(
-            _hang_on_seven, 2, timeout=1.0, retries=0, backoff=0.0
-        )
+    def test_timeout_kills_and_reports(self, pool_factory):
+        supervisor = pool_factory(_hang_on_seven, timeout=1.0, retries=0)
+        stats = SupervisorStats()
         started = time.monotonic()
-        outcomes = supervisor.run([("ok", 1), ("hung", 7)])
+        outcomes = supervisor.run([("ok", 1), ("hung", 7)], stats=stats)
         elapsed = time.monotonic() - started
         assert outcomes["ok"].ok
         failure = outcomes["hung"].failure
         assert failure is not None and failure.error_type == "JobTimeout"
-        assert supervisor.stats.timeouts == 1
+        assert stats.timeouts == 1
         # The hang was killed at the deadline, not waited out.
         assert elapsed < 30.0
 
-    def test_timeout_kill_ignores_inherited_sigterm_handler(self):
+    def test_timeout_kill_ignores_inherited_sigterm_handler(
+        self, pool_factory
+    ):
         # Forked workers inherit the parent's SIGTERM handler (the
         # runner installs one); the kill at the deadline must still
         # take effect at once, not after terminate()'s 5 s fallback.
@@ -148,9 +166,8 @@ class TestFailureModes:
 
         previous = signal.signal(signal.SIGTERM, _raise)
         try:
-            supervisor = WorkerSupervisor(
-                _hang_on_seven, 2, timeout=0.5, retries=0, backoff=0.0
-            )
+            # Started under the handler, so the workers inherit it.
+            supervisor = pool_factory(_hang_on_seven, timeout=0.5, retries=0)
             started = time.monotonic()
             outcomes = supervisor.run([("hung", 7)])
             elapsed = time.monotonic() - started
@@ -159,45 +176,46 @@ class TestFailureModes:
         assert outcomes["hung"].failure.error_type == "JobTimeout"
         assert elapsed < 4.0
 
-    def test_pipe_eof_with_live_worker_is_immediate_crash(self):
+    def test_pipe_eof_with_live_worker_is_immediate_crash(
+        self, pool_factory
+    ):
         # jobs=2: only a worker process has a result pipe (and stderr
         # capture) to lose; jobs=1 would run the job in this process.
-        supervisor = WorkerSupervisor(
-            _close_pipe_and_linger, 2, timeout=30.0, retries=0, backoff=0.0
-        )
+        supervisor = pool_factory(_close_pipe_and_linger, retries=0)
+        stats = SupervisorStats()
         started = time.monotonic()
-        outcomes = supervisor.run([("job", 0)])
+        outcomes = supervisor.run([("job", 0)], stats=stats)
         elapsed = time.monotonic() - started
         failure = outcomes["job"].failure
         assert failure is not None
         assert failure.error_type == "WorkerCrash"
         assert "pipe closed" in failure.message
-        assert supervisor.stats.crashes == 1
+        assert stats.crashes == 1
         # Handled the moment the pipe died — not at the 30s deadline.
         assert elapsed < 15.0
-        supervisor = WorkerSupervisor(
-            _raise_with_stderr, 2, timeout=30.0, retries=2, backoff=0.0
-        )
-        outcomes = supervisor.run([("job", 0)])
+        supervisor = pool_factory(_raise_with_stderr, retries=2)
+        stats = SupervisorStats()
+        outcomes = supervisor.run([("job", 0)], stats=stats)
         failure = outcomes["job"].failure
         assert failure is not None
         assert failure.error_type == "ValueError"
         assert "bad payload 0" in failure.message
         assert failure.attempts == 3
         assert "boom to stderr" in failure.stderr_tail
-        assert supervisor.stats.transient_errors == 3
+        assert stats.transient_errors == 3
 
     def test_retry_then_succeed(self, tmp_path):
         sentinel = tmp_path / "sentinel"
         supervisor = WorkerSupervisor(
             _fail_once, 1, timeout=30.0, retries=2, backoff=0.0
         )
-        outcomes = supervisor.run([("job", str(sentinel))])
+        stats = SupervisorStats()
+        outcomes = supervisor.run([("job", str(sentinel))], stats=stats)
         outcome = outcomes["job"]
         assert outcome.ok and outcome.result == "recovered"
         assert outcome.attempts == 2
-        assert supervisor.stats.retries == 1
-        assert supervisor.stats.exhausted == 0
+        assert stats.retries == 1
+        assert stats.exhausted == 0
 
     def test_failure_render_mentions_key_and_stderr(self):
         supervisor = WorkerSupervisor(
@@ -212,9 +230,10 @@ class TestChaosIntegration:
     def test_flaky_exhaustion(self):
         supervisor = WorkerSupervisor(
             _square, 1, timeout=30.0, retries=1, backoff=0.0,
-            chaos=ChaosSpec.parse("flaky=1.0,seed=3"),
         )
-        outcomes = supervisor.run([("job", 2)])
+        outcomes = supervisor.run(
+            [("job", 2)], chaos=ChaosSpec.parse("flaky=1.0,seed=3"),
+        )
         failure = outcomes["job"].failure
         assert failure is not None
         assert failure.error_type == "ChaosTransientError"
@@ -223,13 +242,13 @@ class TestChaosIntegration:
     def test_sigterm_after_n_completions(self):
         supervisor = WorkerSupervisor(
             _square, 1, timeout=30.0, retries=0, backoff=0.0,
-            chaos=ChaosSpec.parse("sigterm=2,seed=3"),
         )
         delivered = []
         with pytest.raises(SupervisorInterrupted):
             supervisor.run(
                 [(f"job-{i}", i) for i in range(5)],
                 on_outcome=lambda outcome: delivered.append(outcome.key),
+                chaos=ChaosSpec.parse("sigterm=2,seed=3"),
             )
         # The triggering outcome is delivered before the interrupt.
         assert len(delivered) == 2
@@ -262,23 +281,6 @@ def _wait_for(predicate, timeout=30.0):
     while not predicate():
         assert time.monotonic() < deadline, "condition never held"
         time.sleep(0.005)
-
-
-@pytest.fixture
-def pool_factory():
-    """Start long-lived pools; every one is closed at teardown."""
-    pools = []
-
-    def make(worker_fn, jobs=2, **kwargs):
-        kwargs.setdefault("timeout", 30.0)
-        kwargs.setdefault("backoff", 0.0)
-        pool = WorkerSupervisor(worker_fn, jobs, **kwargs).start()
-        pools.append(pool)
-        return pool
-
-    yield make
-    for pool in pools:
-        pool.close()
 
 
 class TestLongLivedPool:
@@ -422,6 +424,11 @@ class TestLongLivedPool:
         pool = pool_factory(_square)
         with pytest.raises(RuntimeError):
             pool.start()
+
+    def test_run_needs_a_started_pool(self):
+        # jobs >= 2 has one lifetime: the pool is started first.
+        with pytest.raises(RuntimeError):
+            WorkerSupervisor(_square, 2).run([("job", 1)])
 
 
 class TestKnobs:

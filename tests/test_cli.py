@@ -127,6 +127,34 @@ class TestHarnessCommands:
         assert "STN 75%" in out and "DEGRADED" not in out
 
 
+class TestUnknownApplication:
+    @pytest.mark.parametrize("command", [
+        ["run", "--app", "BOGUS"],
+        ["trace", "BOGUS"],
+        ["trace", "--app", "bogus", "--out", "F"],
+        ["stats", "BOGUS"],
+        ["check", "invariants", "BOGUS"],
+        ["check", "determinism", "bogus"],
+        ["analyze", "--app", "BOGUS"],
+    ], ids=["run", "trace", "trace-dump", "stats", "check-invariants",
+            "check-determinism", "analyze"])
+    def test_exits_2_with_the_known_list(self, command, tmp_path,
+                                          monkeypatch, capsys):
+        # Relative outputs (F, trace's default events file) land here.
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--scale", "0.25"]) == 2
+        err = capsys.readouterr().err
+        assert f"{command[0]}: unknown application(s) BOGUS" in err
+        assert "STN" in err and "HYB" in err  # the known list
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_journal_positional_stays_a_run_id(self, capsys):
+        assert main(["check", "journal", "run-0000"]) == 1
+        captured = capsys.readouterr()
+        assert "run-0000: no journal on disk" in captured.out
+        assert "unknown application" not in captured.err
+
+
 class TestCacheCommand:
     def test_info_reports_location(self, capsys):
         assert main(["cache", "info"]) == 0

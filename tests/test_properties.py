@@ -121,12 +121,14 @@ def test_hpe_internal_invariants(trace, capacity):
     result = simulate(trace, policy, capacity, config=small_config())
     # Chain resident bookkeeping matches the frame pool.
     chain_resident = sum(
-        entry.resident_count for entry in policy.chain.iter_entries()
+        entry.resident_count for entry in policy.chain.iter_payloads_lru()
     )
     assert chain_resident == policy.resident_count()
     assert chain_resident <= capacity
     # Every chain entry owns at least one resident page (drained sets leave).
-    for entry in policy.chain.iter_entries():
+    for entry in policy.chain.iter_payloads_lru():
         assert entry.resident_count > 0
     # Counters never exceed the saturation cap.
-    assert all(0 < c <= 64 for c in policy.chain.counters())
+    assert all(
+        0 < e.counter <= 64 for e in policy.chain.iter_payloads_lru()
+    )
